@@ -1,7 +1,8 @@
 //! # hillview-baseline
 //!
-//! The two comparison systems of the paper's evaluation, built from scratch
-//! (DESIGN.md §1):
+//! The two comparison systems of the paper's evaluation (§7.1), built from
+//! scratch because neither Spark nor a commercial database is available to
+//! this workspace:
 //!
 //! * [`gp`] — a **general-purpose analytics engine** standing in for the
 //!   Spark back-end of §7.1. It computes *exact, complete* results with no

@@ -12,8 +12,8 @@
 //! figures all        # everything above
 //! ```
 //!
-//! Scales are divided by 1000 relative to the paper (DESIGN.md §1);
-//! EXPERIMENTS.md records measured-vs-paper shapes.
+//! Scales are divided by 1000 relative to the paper, which preserves the
+//! shapes of all comparisons (see the crate docs).
 
 use hillview_baseline::GpEngine;
 use hillview_bench::setup::BenchCluster;

@@ -138,7 +138,7 @@ pub const BLOCK_ROWS: usize = 64;
 ///
 /// The bulk payloads — plain values and packed words — live in a
 /// [`ValueBuf`](crate::residency::ValueBuf), so they are either owned heap
-/// vectors (ingest, v2 files, the wire) or zero-copy windows into a mapped
+/// vectors (ingest, heap reads, the wire) or zero-copy windows into a mapped
 /// `hvc` v3 [`Segment`](crate::residency::Segment) with lazy, chunk-granular
 /// residency. The small side structures (run values/ends, delta anchors) are
 /// always owned: they are consulted by every block decision, so keeping

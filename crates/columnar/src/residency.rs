@@ -860,10 +860,11 @@ mod tests {
     use super::*;
     use std::io::Write;
 
+    /// A scratch file named per process and per test, so concurrent
+    /// test runs never share one.
     fn write_tmp(name: &str, bytes: &[u8]) -> PathBuf {
-        let dir = std::env::temp_dir().join("hillview-residency-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+        let path =
+            std::env::temp_dir().join(format!("hillview-residency-{}-{name}", std::process::id()));
         std::fs::File::create(&path)
             .unwrap()
             .write_all(bytes)
@@ -1006,7 +1007,7 @@ mod tests {
             assert_eq!(mapped.heap_bytes(), 0);
             assert_eq!(mapped.mapped_bytes(), 5_000 * 8);
         }
-        std::fs::remove_file(std::env::temp_dir().join("hillview-residency-test/eq.bin")).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -43,6 +43,7 @@ use hillview_columnar::{
 use hillview_net::{
     link_pair, FrameFault, LinkConfig, LinkSender, Wire as _, WireReader, WireWriter,
 };
+use hillview_sketch::Scope;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -960,12 +961,12 @@ struct LeafMsg {
 /// on this thread's deque, where idle siblings steal them — then summarize
 /// the remaining leftmost piece and report it keyed by range start.
 ///
-/// With a fused `filter`, the leaf calls the sketch's filtered entry
-/// points: the predicate is compiled once per leaf and evaluated inside
-/// the block scan, so no filtered membership ever exists. Split bounds and
-/// work weights stay those of the *unfiltered* membership — filtering
-/// narrows rows, never renumbers them — so the split plan (and therefore
-/// the deterministic fold order) is identical with and without a filter.
+/// With a fused `filter`, the leaf's scope carries it: the predicate is
+/// compiled once per leaf and evaluated inside the block scan, so no
+/// filtered membership ever exists. Split bounds and work weights stay
+/// those of the *unfiltered* membership — filtering narrows rows, never
+/// renumbers them — so the split plan (and therefore the deterministic
+/// fold order) is identical with and without a filter.
 ///
 /// `bonus` is 1 on the initial per-partition task (the extra work unit
 /// that makes empty partitions observable) and 0 on split-off halves;
@@ -1037,27 +1038,11 @@ fn run_leaf_task(
                 Some(FaultAction::StallLeaf(d)) => std::thread::sleep(d),
                 _ => {}
             }
-            match &filter {
-                // Fused filter + sketch: one block pass, no membership.
-                Some(pred) => {
-                    if lo == 0 && hi >= view.members().universe() {
-                        sketch
-                            .summarize_filtered_to_bytes(&view, pred, seed)
-                            .map(Some)
-                    } else {
-                        sketch
-                            .summarize_filtered_range_to_bytes(&view, pred, lo, hi, seed)
-                            .map(Some)
-                    }
-                }
-                None if lo == 0 && hi >= view.members().universe() => {
-                    // Unsplit partition: the plain summarize path.
-                    sketch.summarize_to_bytes(&view, seed).map(Some)
-                }
-                None => sketch
-                    .summarize_range_to_bytes(&view, lo, hi, seed)
-                    .map(Some),
-            }
+            let scope = Scope {
+                rows: Some((lo, hi)),
+                filter: filter.as_deref(),
+            };
+            sketch.summarize_to_bytes(&view, &scope, seed).map(Some)
         }));
         match run {
             Ok(r) => r,

@@ -168,8 +168,8 @@ impl fmt::Debug for FnSource {
 /// its columns are windows over the file, faulted in block-granular
 /// through the worker's [`BlockCache`] as scans touch them, so loading a
 /// dataset costs O(headers) and querying it costs only the blocks zone
-/// maps cannot prune. Heap fallbacks (v2 files, big-endian hosts) load
-/// eagerly and behave exactly as before.
+/// maps cannot prune. The heap fallback (big-endian hosts) loads
+/// eagerly and behaves exactly as before.
 ///
 /// The directory must be immutable while browsed (paper §2); the snapshot
 /// tag is ignored because the directory *is* one snapshot, which keeps

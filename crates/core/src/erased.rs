@@ -12,52 +12,28 @@
 use crate::error::{EngineError, EngineResult};
 use bytes::Bytes;
 use hillview_net::Wire;
-use hillview_sketch::{Sketch, TableView};
+use hillview_sketch::{Scope, Sketch, TableView};
 use std::sync::Arc;
 
 /// Object-safe sketch interface operating on wire bytes.
 pub trait ErasedSketch: Send + Sync + 'static {
     /// Sketch name (diagnostics, cache keys).
     fn name(&self) -> &'static str;
-    /// Summarize one partition to wire bytes.
-    fn summarize_to_bytes(&self, view: &TableView, seed: u64) -> EngineResult<Bytes>;
-    /// True when the sketch supports row-range splitting
-    /// ([`ErasedSketch::summarize_range_to_bytes`]); the leaf executor only
-    /// fans a partition into sub-range tasks for splittable sketches.
-    fn splittable(&self) -> bool;
-    /// Summarize the rows of one partition whose index lies in `lo..hi`,
-    /// to wire bytes (see `hillview_sketch::Sketch::summarize_range`).
-    fn summarize_range_to_bytes(
+    /// Summarize the rows of one partition that `scope` covers, to wire
+    /// bytes (see `hillview_sketch::Sketch::summarize_scoped`).
+    fn summarize_to_bytes(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
+        scope: &Scope<'_>,
         seed: u64,
     ) -> EngineResult<Bytes>;
+    /// True when the sketch honours bounded scopes; the leaf executor only
+    /// fans a partition into sub-range tasks for splittable sketches.
+    fn splittable(&self) -> bool;
     /// Merge two wire-encoded summaries.
     fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes>;
     /// The identity summary, wire-encoded.
     fn identity_bytes(&self) -> Bytes;
-    /// Fused filter + summarize: one block pass that evaluates `predicate`
-    /// per 64-row frame and feeds surviving lanes straight into the sketch
-    /// kernel, never materializing the filtered membership.
-    fn summarize_filtered_to_bytes(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        seed: u64,
-    ) -> EngineResult<Bytes>;
-    /// Fused filter + summarize over the rows of one partition whose index
-    /// lies in `lo..hi` of the *unfiltered* membership (filtering narrows
-    /// the rows, never renumbers them, so the parent's split plan is valid).
-    fn summarize_filtered_range_to_bytes(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> EngineResult<Bytes>;
     /// The sketch's cacheable parameter identity
     /// ([`hillview_sketch::Sketch::cache_identity`]): `Some(bytes)` when
     /// the summary is a pure, seed-independent function of the data and
@@ -74,24 +50,18 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
         self.0.name()
     }
 
-    fn summarize_to_bytes(&self, view: &TableView, seed: u64) -> EngineResult<Bytes> {
-        let summary = self.0.summarize(view, seed)?;
+    fn summarize_to_bytes(
+        &self,
+        view: &TableView,
+        scope: &Scope<'_>,
+        seed: u64,
+    ) -> EngineResult<Bytes> {
+        let summary = self.0.summarize_scoped(view, scope, seed)?;
         Ok(summary.to_bytes())
     }
 
     fn splittable(&self) -> bool {
         self.0.splittable()
-    }
-
-    fn summarize_range_to_bytes(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> EngineResult<Bytes> {
-        let summary = self.0.summarize_range(view, lo, hi, seed)?;
-        Ok(summary.to_bytes())
     }
 
     fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
@@ -103,30 +73,6 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
 
     fn identity_bytes(&self) -> Bytes {
         self.0.identity().to_bytes()
-    }
-
-    fn summarize_filtered_to_bytes(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        seed: u64,
-    ) -> EngineResult<Bytes> {
-        let summary = self.0.summarize_filtered(view, predicate, seed)?;
-        Ok(summary.to_bytes())
-    }
-
-    fn summarize_filtered_range_to_bytes(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> EngineResult<Bytes> {
-        let summary = self
-            .0
-            .summarize_filtered_range(view, predicate, lo, hi, seed)?;
-        Ok(summary.to_bytes())
     }
 
     fn cache_identity(&self) -> Option<Vec<u8>> {
@@ -161,8 +107,8 @@ mod tests {
     #[test]
     fn erased_summarize_and_merge_round_trip() {
         let e = erase(CountSketch::rows());
-        let a = e.summarize_to_bytes(&view(), 0).unwrap();
-        let b = e.summarize_to_bytes(&view(), 0).unwrap();
+        let a = e.summarize_to_bytes(&view(), &Scope::default(), 0).unwrap();
+        let b = e.summarize_to_bytes(&view(), &Scope::default(), 0).unwrap();
         let merged = e.merge_bytes(&a, &b).unwrap();
         let s = CountSummary::from_bytes(merged).unwrap();
         assert_eq!(s.rows, 20);
@@ -171,7 +117,7 @@ mod tests {
     #[test]
     fn identity_is_merge_unit_through_bytes() {
         let e = erase(CountSketch::rows());
-        let a = e.summarize_to_bytes(&view(), 0).unwrap();
+        let a = e.summarize_to_bytes(&view(), &Scope::default(), 0).unwrap();
         let m = e.merge_bytes(&a, &e.identity_bytes()).unwrap();
         assert_eq!(m, a);
     }
@@ -187,7 +133,7 @@ mod tests {
     fn sketch_errors_propagate() {
         let e = erase(CountSketch::of_column("Nope"));
         assert!(matches!(
-            e.summarize_to_bytes(&view(), 0),
+            e.summarize_to_bytes(&view(), &Scope::default(), 0),
             Err(EngineError::Sketch(_))
         ));
     }

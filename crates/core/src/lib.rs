@@ -4,8 +4,9 @@
 //! vizketches (paper §5), plus the [`Spreadsheet`] facade that maps
 //! spreadsheet actions onto it.
 //!
-//! The cluster is simulated inside one process (DESIGN.md §1) but keeps the
-//! paper's structure and discipline:
+//! The cluster is simulated inside one process (the paper's servers become
+//! workers with their own thread pools) but keeps the paper's structure
+//! and discipline:
 //!
 //! * **Execution trees** ([`cluster`]): a query fans out from the root to
 //!   per-worker aggregation nodes and leaf micropartitions; summaries are

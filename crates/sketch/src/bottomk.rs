@@ -9,11 +9,9 @@
 
 use crate::hashutil::hash_str;
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_values, Selection};
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_values;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -145,64 +143,13 @@ impl Sketch for BottomKSketch {
         "bottom-k"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
+    /// The k-smallest-hash entry set is a lattice (deterministic union +
+    /// truncation), so split partials fold back to exactly the unsplit
+    /// summary.
+    fn summarize_scoped(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<BottomKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> BottomKSummary {
-        BottomKSummary::zero(self.k)
-    }
-
-    fn cache_identity(&self) -> Option<Vec<u8>> {
-        // The hash seed is a sketch *parameter* (identical across
-        // partitions), not per-run state, so it joins the identity bytes.
-        Some(format!("{}|{}|{}", self.column, self.k, self.seed).into_bytes())
-    }
-}
-
-impl BottomKSketch {
-    /// The shared scan body; the k-smallest-hash entry set is a lattice
-    /// (deterministic union + truncation), so split partials fold back to
-    /// exactly the unsplit summary.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
+        scope: &Scope<'_>,
         _seed: u64,
     ) -> SketchResult<BottomKSummary> {
         let col = view.table().column_by_name(&self.column)?;
@@ -216,32 +163,18 @@ impl BottomKSketch {
         // Chunked scan over the raw code slice: mark which codes occur, with
         // one null-word probe per 64 rows instead of per-row `is_null`.
         let mut seen = vec![false; dict.dictionary().len()];
-        let mut missing = 0u64;
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        scan_values(
-            &sel,
-            dict.codes(),
-            dict.nulls().bitmap(),
-            &mut missing,
-            |code| seen[code as usize] = true,
-        );
-        // Under fusion the filtered selection is single-pass; the
-        // surviving-row count comes from the filter's popcounts.
-        let rows = match &ff {
-            Some(f) => f.borrow().matched() - missing,
-            None => sel.count() as u64 - missing,
-        };
+        let (missing, selected) = scope.scan_counted(view, None, |sel| {
+            let mut missing = 0u64;
+            scan_values(
+                sel,
+                dict.codes(),
+                dict.nulls().bitmap(),
+                &mut missing,
+                |code| seen[code as usize] = true,
+            );
+            Ok(missing)
+        })?;
+        let rows = selected - missing;
         // Hash each distinct dictionary entry once — O(dict), not O(rows).
         let mut map: BTreeMap<u64, String> = BTreeMap::new();
         for (code, &s) in seen.iter().enumerate() {
@@ -258,6 +191,22 @@ impl BottomKSketch {
         })
     }
 
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> BottomKSummary {
+        BottomKSummary::zero(self.k)
+    }
+
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        // The hash seed is a sketch *parameter* (identical across
+        // partitions), not per-run state, so it joins the identity bytes.
+        Some(format!("{}|{}|{}", self.column, self.k, self.seed).into_bytes())
+    }
+}
+
+impl BottomKSketch {
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, _seed: u64) -> SketchResult<BottomKSummary> {

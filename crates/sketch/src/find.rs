@@ -8,11 +8,10 @@
 //! the search criteria."*
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{FrameFilter, Predicate, Row, RowKey, SortOrder, StrMatchKind};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_rows;
+use hillview_columnar::{Predicate, Row, RowKey, SortOrder, StrMatchKind};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Find-text sketch.
@@ -123,42 +122,69 @@ impl Sketch for FindSketch {
         "find-text"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Match counts add and the first-match key is a minimum lattice, so split partials fold back to exactly the unsplit
+    /// summary.
+    ///
+    /// The search criteria compile into the block-wise predicate engine: on
+    /// dictionary columns the query is matched once per distinct entry into
+    /// a code bitmap, and the frame scan probes 64-row match words — rows
+    /// that fail the search (or the fused filter) never reach the key
+    /// builder. The scope's filter is AND-composed into the same compiled
+    /// pass.
+    fn summarize_scoped(
+        &self,
+        view: &TableView,
+        scope: &Scope<'_>,
+        _seed: u64,
+    ) -> SketchResult<FindSummary> {
+        let table = view.table();
+        let resolved = self.order.resolve(table)?;
+        let match_pred = Predicate::str_match(
+            &self.column,
+            &self.query,
+            self.kind.clone(),
+            self.case_insensitive,
+        );
+        let pred = match scope.filter {
+            Some(f) => f.clone().and(match_pred),
+            None => match_pred,
+        };
+        let search = Scope {
+            rows: scope.rows,
+            filter: Some(&pred),
+        };
+        let mut out = FindSummary {
+            first: None,
+            matches_after: 0,
+            matches_total: 0,
+        };
+        // Every surviving row already matches the criteria, so the scan
+        // body only builds keys and maintains the minimum lattice.
+        search.scan(view, None, |sel| {
+            scan_rows(sel, |row| {
+                out.matches_total += 1;
+                let key = resolved.key(table, row);
+                if let Some(start) = &self.start {
+                    if key <= *start {
+                        return;
+                    }
+                }
+                out.matches_after += 1;
+                let better = match &out.first {
+                    None => true,
+                    Some((best, _)) => key < *best,
+                };
+                if better {
+                    out.first = Some((key, table.full_row(row)));
+                }
+            });
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<FindSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> FindSummary {
@@ -171,68 +197,6 @@ impl Sketch for FindSketch {
 }
 
 impl FindSketch {
-    /// The shared scan body; match counts add and the first-match key is a
-    /// minimum lattice, so split partials fold back to exactly the unsplit
-    /// summary.
-    ///
-    /// The search criteria compile into the block-wise predicate engine: on
-    /// dictionary columns the query is matched once per distinct entry into
-    /// a code bitmap, and the frame scan probes 64-row match words — rows
-    /// that fail the search (or the fused filter) never reach the key
-    /// builder. Any extra `filter` is AND-composed into the same compiled
-    /// pass.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        _seed: u64,
-    ) -> SketchResult<FindSummary> {
-        let table = view.table();
-        let resolved = self.order.resolve(table)?;
-        let match_pred = Predicate::str_match(
-            &self.column,
-            &self.query,
-            self.kind.clone(),
-            self.case_insensitive,
-        );
-        let pred = match filter {
-            Some(f) => f.clone().and(match_pred),
-            None => match_pred,
-        };
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = RefCell::new(FrameFilter::compile(&pred, table)?);
-        let sel = Selection::Filtered {
-            base: &base,
-            filter: &ff,
-        };
-        let mut out = FindSummary {
-            first: None,
-            matches_after: 0,
-            matches_total: 0,
-        };
-        // Every surviving row already matches the criteria, so the scan
-        // body only builds keys and maintains the minimum lattice.
-        scan_rows(&sel, |row| {
-            out.matches_total += 1;
-            let key = resolved.key(table, row);
-            if let Some(start) = &self.start {
-                if key <= *start {
-                    return;
-                }
-            }
-            out.matches_after += 1;
-            let better = match &out.first {
-                None => true,
-                Some((best, _)) => key < *best,
-            };
-            if better {
-                out.first = Some((key, table.full_row(row)));
-            }
-        });
-        Ok(out)
-    }
-
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, _seed: u64) -> SketchResult<FindSummary> {

@@ -18,12 +18,11 @@
 
 use crate::buckets::BucketSpec;
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
-use crate::view::TableView;
+use crate::view::{Scope, TableView};
 use hillview_columnar::scan::{scan_values, Selection};
 use hillview_columnar::simd::{self, BucketParams, LaneValue};
-use hillview_columnar::{scan_blocks, Block, BlockSink, Column, FrameFilter, Predicate};
+use hillview_columnar::{scan_blocks, Block, BlockSink, Column};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Histogram sketch over one column.
@@ -146,42 +145,82 @@ impl Sketch for HistogramSketch {
         }
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Counters are integers, so range partials fold back to exactly the
+    /// unsplit summary. Under a filter the predicate is fused into the
+    /// scan: only surviving lanes reach the bucket kernel, and the column
+    /// is decoded once. `rows_inspected` is the scope's row count.
+    fn summarize_scoped(
+        &self,
+        view: &TableView,
+        scope: &Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<HistogramSummary> {
+        let col = view.table().column_by_name(&self.column)?;
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        let (mut out, rows) = scope.scan_counted(view, sample, |sel| {
+            let mut out = HistogramSummary::zero(self.buckets.count());
+            match (&self.buckets, col) {
+                // Numeric buckets over numeric columns: block frames with one
+                // null-word check per 64 rows. Bucket indexes of a whole frame
+                // are computed by the lane-parallel primitive (dead lanes to a
+                // trash slot, branch-free), then folded into the counters. The
+                // arithmetic is `index_of_f64` with the spec fields hoisted;
+                // identical expression order, and counter additions commute, so
+                // the result is bit-identical to the reference path under
+                // either codegen.
+                (BucketSpec::Numeric { lo, hi, count }, Column::Double(c)) => {
+                    scan_numeric_blocks(
+                        sel,
+                        c.data(),
+                        c.nulls().bitmap(),
+                        (*lo, *hi, *count),
+                        &mut out,
+                    );
+                }
+                (BucketSpec::Numeric { lo, hi, count }, Column::Int(c) | Column::Date(c)) => {
+                    scan_numeric_blocks(
+                        sel,
+                        c.storage(),
+                        c.nulls().bitmap(),
+                        (*lo, *hi, *count),
+                        &mut out,
+                    );
+                }
+                // String buckets over dictionary columns: bucket the dictionary
+                // once, then count by code — O(dict) lookups instead of O(rows).
+                (BucketSpec::Strings { .. }, Column::Str(c) | Column::Cat(c)) => {
+                    let code_bucket: Vec<Option<usize>> = c
+                        .dictionary()
+                        .iter()
+                        .map(|s| self.buckets.index_of_str(s))
+                        .collect();
+                    scan_values(
+                        sel,
+                        c.codes(),
+                        c.nulls().bitmap(),
+                        &mut out.missing,
+                        |code| match code_bucket[code as usize] {
+                            Some(b) => out.buckets[b] += 1,
+                            None => out.out_of_range += 1,
+                        },
+                    );
+                }
+                (spec, col) => {
+                    return Err(SketchError::BadConfig(format!(
+                        "bucket spec {:?} incompatible with column kind {}",
+                        spec.count(),
+                        col.kind()
+                    )));
+                }
+            }
+            Ok(out)
+        })?;
+        out.rows_inspected = rows;
+        Ok(out)
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<HistogramSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> HistogramSummary {
@@ -191,111 +230,6 @@ impl Sketch for HistogramSketch {
     fn cache_identity(&self) -> Option<Vec<u8>> {
         // Only the exact (streaming) histogram is seed-independent.
         (self.rate >= 1.0).then(|| format!("{}|{:?}", self.column, self.buckets).into_bytes())
-    }
-}
-
-impl HistogramSketch {
-    /// The shared scan body: `bounds` of `None` is the whole partition,
-    /// `Some((lo, hi))` a split sub-range. Counters are integers, so the
-    /// range partials fold back to exactly the unsplit summary.
-    ///
-    /// With `filter` present the predicate is fused into the scan: it
-    /// evaluates per 64-row frame inside the selection stream and only
-    /// surviving lanes reach the bucket kernel — no membership set is
-    /// materialized and the column is decoded once. Sampled histograms
-    /// fall back to the two-pass path, because the sample must be drawn
-    /// from the *filtered* membership to stay bit-identical to it.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<HistogramSummary> {
-        if let Some(pred) = filter {
-            if self.rate < 1.0 {
-                let narrowed = crate::view::filtered_view(view, pred)?;
-                return self.summarize_bounded(&narrowed, bounds, None, seed);
-            }
-        }
-        let col = view.table().column_by_name(&self.column)?;
-        let sampled = (self.rate < 1.0).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        let mut out = HistogramSummary::zero(self.buckets.count());
-        // The fused filter is single-pass, so its row count is read back
-        // after the scan; the unfiltered count is position-independent.
-        if ff.is_none() {
-            out.rows_inspected = base.count() as u64;
-        }
-        match (&self.buckets, col) {
-            // Numeric buckets over numeric columns: block frames with one
-            // null-word check per 64 rows. Bucket indexes of a whole frame
-            // are computed by the lane-parallel primitive (dead lanes to a
-            // trash slot, branch-free), then folded into the counters. The
-            // arithmetic is `index_of_f64` with the spec fields hoisted;
-            // identical expression order, and counter additions commute, so
-            // the result is bit-identical to the reference path under
-            // either codegen.
-            (BucketSpec::Numeric { lo, hi, count }, Column::Double(c)) => {
-                scan_numeric_blocks(
-                    &sel,
-                    c.data(),
-                    c.nulls().bitmap(),
-                    (*lo, *hi, *count),
-                    &mut out,
-                );
-            }
-            (BucketSpec::Numeric { lo, hi, count }, Column::Int(c) | Column::Date(c)) => {
-                scan_numeric_blocks(
-                    &sel,
-                    c.storage(),
-                    c.nulls().bitmap(),
-                    (*lo, *hi, *count),
-                    &mut out,
-                );
-            }
-            // String buckets over dictionary columns: bucket the dictionary
-            // once, then count by code — O(dict) lookups instead of O(rows).
-            (BucketSpec::Strings { .. }, Column::Str(c) | Column::Cat(c)) => {
-                let code_bucket: Vec<Option<usize>> = c
-                    .dictionary()
-                    .iter()
-                    .map(|s| self.buckets.index_of_str(s))
-                    .collect();
-                scan_values(
-                    &sel,
-                    c.codes(),
-                    c.nulls().bitmap(),
-                    &mut out.missing,
-                    |code| match code_bucket[code as usize] {
-                        Some(b) => out.buckets[b] += 1,
-                        None => out.out_of_range += 1,
-                    },
-                );
-            }
-            (spec, col) => {
-                return Err(SketchError::BadConfig(format!(
-                    "bucket spec {:?} incompatible with column kind {}",
-                    spec.count(),
-                    col.kind()
-                )))
-            }
-        }
-        if let Some(f) = &ff {
-            out.rows_inspected = f.borrow().matched();
-        }
-        Ok(out)
     }
 }
 

@@ -13,11 +13,10 @@
 //! (§3.3 "Aggregate duplicates and show repetition counts").
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{FrameFilter, Predicate, Row, RowKey, SortOrder};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_rows;
+use hillview_columnar::{Row, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -142,58 +141,13 @@ impl Sketch for NextKSketch {
         "next-items"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
+    /// The k-smallest-keys map is a lattice with exact duplicate-count
+    /// addition, so split partials fold back to exactly the unsplit
+    /// summary.
+    fn summarize_scoped(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<NextKSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> NextKSummary {
-        NextKSummary::zero(self.k)
-    }
-}
-
-impl NextKSketch {
-    /// The shared scan body; the k-smallest-keys map is a lattice with
-    /// exact duplicate-count addition, so split partials fold back to
-    /// exactly the unsplit summary.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
+        scope: &Scope<'_>,
         _seed: u64,
     ) -> SketchResult<NextKSummary> {
         let table = view.table();
@@ -208,49 +162,40 @@ impl NextKSketch {
         // when over capacity, exactly the paper's priority-heap behaviour
         // but with duplicate aggregation. Row enumeration is chunked so the
         // per-row membership probe disappears on dense views.
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
         let mut map: BTreeMap<RowKey, (Row, u64)> = BTreeMap::new();
         let mut matched = 0u64;
-        scan_rows(&sel, |row| {
-            let key = resolved.key(table, row);
-            if let Some(start) = &self.start {
-                if key <= *start {
-                    return;
-                }
-            }
-            matched += 1;
-            // Skip rows beyond the current k-th smallest key, unless they
-            // duplicate an existing key.
-            if map.len() == self.k {
-                let largest = map.keys().next_back().expect("non-empty");
-                if key > *largest {
-                    return;
-                }
-            }
-            match map.get_mut(&key) {
-                Some((_, c)) => *c += 1,
-                None => {
-                    let mut values = key.values().to_vec();
-                    values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
-                    map.insert(key, (Row::new(values), 1));
-                    if map.len() > self.k {
-                        let largest = map.keys().next_back().expect("over capacity").clone();
-                        map.remove(&largest);
+        scope.scan(view, None, |sel| {
+            scan_rows(sel, |row| {
+                let key = resolved.key(table, row);
+                if let Some(start) = &self.start {
+                    if key <= *start {
+                        return;
                     }
                 }
-            }
-        });
+                matched += 1;
+                // Skip rows beyond the current k-th smallest key, unless they
+                // duplicate an existing key.
+                if map.len() == self.k {
+                    let largest = map.keys().next_back().expect("non-empty");
+                    if key > *largest {
+                        return;
+                    }
+                }
+                match map.get_mut(&key) {
+                    Some((_, c)) => *c += 1,
+                    None => {
+                        let mut values = key.values().to_vec();
+                        values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
+                        map.insert(key, (Row::new(values), 1));
+                        if map.len() > self.k {
+                            let largest = map.keys().next_back().expect("over capacity").clone();
+                            map.remove(&largest);
+                        }
+                    }
+                }
+            });
+            Ok(())
+        })?;
         Ok(NextKSummary {
             k: self.k,
             rows: map
@@ -261,6 +206,16 @@ impl NextKSketch {
         })
     }
 
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> NextKSummary {
+        NextKSummary::zero(self.k)
+    }
+}
+
+impl NextKSketch {
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, _seed: u64) -> SketchResult<NextKSummary> {

@@ -9,11 +9,9 @@
 
 use crate::eigen::{jacobi_eigen, Eigen, SymMatrix};
 use crate::traits::{Sketch, SketchError, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
+use hillview_columnar::scan::scan_rows;
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Correlation-matrix sketch over M numeric columns.
@@ -158,69 +156,15 @@ impl Sketch for PcaSketch {
         "pca"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, None, None, seed)
-    }
-
-    fn splittable(&self) -> bool {
-        true
-    }
-
-    fn summarize_range(
+    /// The complete-case count folds exactly and the floating-point sums
+    /// fold deterministically in range order (fixed split plan, fixed fold
+    /// order).
+    fn summarize_scoped(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
+        scope: &Scope<'_>,
         seed: u64,
     ) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<PcaSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
-    }
-
-    fn identity(&self) -> PcaSummary {
-        PcaSummary::zero(self.columns.len())
-    }
-}
-
-impl PcaSketch {
-    /// The shared scan body; the complete-case count folds exactly and the
-    /// floating-point sums fold deterministically in range order (fixed
-    /// split plan, fixed fold order).
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<PcaSummary> {
-        // Sampled + filtered: the sample must be drawn from the *filtered*
-        // membership to match two-pass execution, so fall back to the
-        // materialized path.
-        if self.rate < 1.0 {
-            if let Some(pred) = filter {
-                let narrowed = crate::view::filtered_view(view, pred)?;
-                return self.summarize_bounded(&narrowed, bounds, None, seed);
-            }
-        }
         let table = view.table();
         let m = self.columns.len();
         if m == 0 {
@@ -262,23 +206,24 @@ impl PcaSketch {
         // Chunked row enumeration, streaming or over a pre-drawn sample
         // clipped to the bounds; sums accumulate in ascending row order
         // either way, bit-identical to the per-row reference.
-        let sampled = (self.rate < 1.0).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        scan_rows(&sel, |row| tally(row, &mut out, &mut vals));
+        let sample = (self.rate < 1.0).then_some((self.rate, seed));
+        scope.scan(view, sample, |sel| {
+            scan_rows(sel, |row| tally(row, &mut out, &mut vals));
+            Ok(())
+        })?;
         Ok(out)
     }
 
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn identity(&self) -> PcaSummary {
+        PcaSummary::zero(self.columns.len())
+    }
+}
+
+impl PcaSketch {
     /// Per-row reference implementation, kept for the scan-equivalence
     /// property tests. Must remain bit-identical to [`Sketch::summarize`].
     pub fn summarize_rowwise(&self, view: &TableView, seed: u64) -> SketchResult<PcaSummary> {

@@ -11,11 +11,10 @@
 //! keeping every j-th element of the concatenation stays uniform).
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
+use crate::view::{Scope, TableView};
 use hillview_columnar::scan::{scan_rows, Selection};
-use hillview_columnar::{row_sampled, FrameFilter, Predicate, RowKey, SortOrder};
+use hillview_columnar::{row_sampled, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 
 /// Sampled quantile sketch over a sort order.
 #[derive(Debug, Clone)]
@@ -111,42 +110,61 @@ impl Sketch for QuantileSketch {
         "quantile"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Sub-range populations count the membership rows in the bounds (not
+    /// the sample), so split partials sum to the partition population
+    /// exactly; merged keys stay a uniform sample.
+    fn summarize_scoped(
+        &self,
+        view: &TableView,
+        scope: &Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<QuantileSummary> {
+        let resolved = self.order.resolve(view.table())?;
+        // Unfiltered sampling pre-draws a partition-wide sample
+        // (representation-dependent walk, clipped to the bounds). Under
+        // fusion the sample must come from the *filtered* stream, so each
+        // surviving row is instead tested with the stateless hash-threshold
+        // decision [`row_sampled`] — a pure function of `(row, rate, seed)`,
+        // which keeps split tiling exact and the one-pass structure intact
+        // (no materialized membership, no second decode).
+        let hash_sample = self.rate < 1.0 && scope.filter.is_some();
+        let sample = (self.rate < 1.0 && scope.filter.is_none()).then_some((self.rate, seed));
+        // The bounded membership caps how many keys the scan can push.
+        let bounded = match scope.rows {
+            None => view.len(),
+            Some((lo, hi)) => view.members().count_range(lo, hi),
+        };
+        let mut keys = Vec::with_capacity(bounded.min(2 * self.cap));
+        let body = |sel: &Selection<'_>| {
+            scan_rows(sel, |row| {
+                if !hash_sample || row_sampled(row as u64, self.rate, seed) {
+                    keys.push(resolved.key(view.table(), row));
+                }
+            });
+            Ok(())
+        };
+        // The population is the rows the summary speaks for: the filtered
+        // membership under fusion, the bounded membership otherwise.
+        let population = match scope.filter {
+            Some(_) => scope.scan_counted(view, sample, body)?.1,
+            None => {
+                scope.scan(view, sample, body)?;
+                bounded as u64
+            }
+        };
+        if keys.len() > self.cap {
+            let stride = keys.len().div_ceil(self.cap);
+            keys = keys.into_iter().step_by(stride).collect();
+        }
+        Ok(QuantileSummary {
+            keys,
+            population,
+            cap: self.cap,
+        })
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> QuantileSummary {
@@ -161,67 +179,6 @@ impl Sketch for QuantileSketch {
         // At rate >= 1 every key is taken and cap-thinning is
         // deterministic, so the summary is seed-independent.
         (self.rate >= 1.0).then(|| format!("{:?}|{}", self.order, self.cap).into_bytes())
-    }
-}
-
-impl QuantileSketch {
-    /// The shared scan body. Sub-range populations count the membership
-    /// rows in the bounds (not the sample), so split partials sum to the
-    /// partition population exactly; merged keys stay a uniform sample.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        seed: u64,
-    ) -> SketchResult<QuantileSummary> {
-        let resolved = self.order.resolve(view.table())?;
-        // Unfiltered sampling pre-draws a partition-wide sample
-        // (representation-dependent walk, clipped to the bounds). Under
-        // fusion the sample must come from the *filtered* stream, so each
-        // surviving row is instead tested with the stateless hash-threshold
-        // decision [`row_sampled`] — a pure function of `(row, rate, seed)`,
-        // which keeps split tiling exact and the one-pass structure intact
-        // (no materialized membership, no second decode).
-        let hash_sample = self.rate < 1.0 && filter.is_some();
-        let sampled =
-            (self.rate < 1.0 && filter.is_none()).then(|| view.sample_rows(self.rate, seed));
-        let base = crate::view::bounded_selection(view, &sampled, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        let mut keys = Vec::with_capacity(base.count().min(2 * self.cap));
-        scan_rows(&sel, |row| {
-            if !hash_sample || row_sampled(row as u64, self.rate, seed) {
-                keys.push(resolved.key(view.table(), row));
-            }
-        });
-        // The population is the rows the summary speaks for: the filtered
-        // membership under fusion, the bounded membership otherwise.
-        let population = match &ff {
-            Some(f) => f.borrow().matched(),
-            None => match bounds {
-                None => view.len() as u64,
-                Some((lo, hi)) => view.members().count_range(lo, hi) as u64,
-            },
-        };
-        if keys.len() > self.cap {
-            let stride = keys.len().div_ceil(self.cap);
-            keys = keys.into_iter().step_by(stride).collect();
-        }
-        Ok(QuantileSummary {
-            keys,
-            population,
-            cap: self.cap,
-        })
     }
 }
 

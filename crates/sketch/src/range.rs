@@ -7,10 +7,8 @@
 //! lexicographic extremes.
 
 use crate::traits::{Sketch, SketchResult, Summary};
-use crate::view::TableView;
-use hillview_columnar::{FrameFilter, Predicate};
+use crate::view::{Scope, TableView};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Computes the range of one column.
@@ -122,42 +120,79 @@ impl Sketch for RangeSketch {
         "range"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, None, None, seed)
+    /// Counts add and min/max are lattices, so split partials fold back to
+    /// exactly the unsplit summary.
+    ///
+    /// Numeric columns run frame-wise and consult the per-64-row-block
+    /// zone maps recorded at ingest: a fully-selected, null-free frame
+    /// contributes its pre-computed block extremes without decoding a
+    /// single value, so the initial range query on an unfiltered dataset
+    /// reads only the zone arrays.
+    fn summarize_scoped(
+        &self,
+        view: &TableView,
+        scope: &Scope<'_>,
+        _seed: u64,
+    ) -> SketchResult<RangeSummary> {
+        use hillview_columnar::block::BlockCursor;
+        use hillview_columnar::scan::scan_rows;
+        use hillview_columnar::Column;
+        let col = view.table().column_by_name(&self.column)?;
+        let mut out = RangeSummary::default();
+        scope.scan(view, None, |sel| {
+            match col {
+                Column::Double(c) => {
+                    let data = c.data();
+                    let zones = c.zones();
+                    scan_numeric(
+                        sel,
+                        c.nulls(),
+                        c.len(),
+                        |b| zones.block(b),
+                        |r| data[r],
+                        &mut out,
+                    );
+                }
+                Column::Int(c) | Column::Date(c) => {
+                    let zones = c.zones();
+                    let mut cur = BlockCursor::new(c.storage());
+                    scan_numeric(
+                        sel,
+                        c.nulls(),
+                        c.len(),
+                        // i64 → f64 is monotone, so the converted block
+                        // extremes are the extremes of the conversions.
+                        |b| {
+                            let (mn, mx) = zones.block(b);
+                            (mn as f64, mx as f64)
+                        },
+                        |r| cur.value(r) as f64,
+                        &mut out,
+                    );
+                }
+                Column::Str(dict) | Column::Cat(dict) => {
+                    scan_rows(sel, |r| match dict.get(r) {
+                        None => out.missing += 1,
+                        Some(s) => {
+                            out.present += 1;
+                            let s = s.as_ref();
+                            if out.min_str.as_deref().is_none_or(|m| s < m) {
+                                out.min_str = Some(s.to_string());
+                            }
+                            if out.max_str.as_deref().is_none_or(|m| s > m) {
+                                out.max_str = Some(s.to_string());
+                            }
+                        }
+                    });
+                }
+            }
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     fn splittable(&self) -> bool {
         true
-    }
-
-    fn summarize_range(
-        &self,
-        view: &TableView,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), None, seed)
-    }
-
-    fn summarize_filtered(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        seed: u64,
-    ) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, None, Some(predicate), seed)
-    }
-
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<RangeSummary> {
-        self.summarize_bounded(view, Some((lo, hi)), Some(predicate), seed)
     }
 
     fn identity(&self) -> RangeSummary {
@@ -169,90 +204,7 @@ impl Sketch for RangeSketch {
     }
 }
 
-impl RangeSketch {
-    /// The shared scan body; counts add and min/max are lattices, so split
-    /// partials fold back to exactly the unsplit summary.
-    ///
-    /// Numeric columns run frame-wise and consult the per-64-row-block
-    /// zone maps recorded at ingest: a fully-selected, null-free frame
-    /// contributes its pre-computed block extremes without decoding a
-    /// single value, so the initial range query on an unfiltered dataset
-    /// reads only the zone arrays.
-    fn summarize_bounded(
-        &self,
-        view: &TableView,
-        bounds: Option<(usize, usize)>,
-        filter: Option<&Predicate>,
-        _seed: u64,
-    ) -> SketchResult<RangeSummary> {
-        use hillview_columnar::block::BlockCursor;
-        use hillview_columnar::scan::scan_rows;
-        use hillview_columnar::{Column, Selection};
-        let col = view.table().column_by_name(&self.column)?;
-        let mut out = RangeSummary::default();
-        let base = crate::view::bounded_selection(view, &None, bounds);
-        let ff = match filter {
-            Some(pred) => Some(RefCell::new(FrameFilter::compile(pred, view.table())?)),
-            None => None,
-        };
-        let sel = match &ff {
-            Some(f) => Selection::Filtered {
-                base: &base,
-                filter: f,
-            },
-            None => base,
-        };
-        match col {
-            Column::Double(c) => {
-                let data = c.data();
-                let zones = c.zones();
-                scan_numeric(
-                    &sel,
-                    c.nulls(),
-                    c.len(),
-                    |b| zones.block(b),
-                    |r| data[r],
-                    &mut out,
-                );
-            }
-            Column::Int(c) | Column::Date(c) => {
-                let zones = c.zones();
-                let mut cur = BlockCursor::new(c.storage());
-                scan_numeric(
-                    &sel,
-                    c.nulls(),
-                    c.len(),
-                    // i64 → f64 is monotone, so the converted block
-                    // extremes are the extremes of the conversions.
-                    |b| {
-                        let (mn, mx) = zones.block(b);
-                        (mn as f64, mx as f64)
-                    },
-                    |r| cur.value(r) as f64,
-                    &mut out,
-                );
-            }
-            Column::Str(dict) | Column::Cat(dict) => {
-                scan_rows(&sel, |r| match dict.get(r) {
-                    None => out.missing += 1,
-                    Some(s) => {
-                        out.present += 1;
-                        let s = s.as_ref();
-                        if out.min_str.as_deref().is_none_or(|m| s < m) {
-                            out.min_str = Some(s.to_string());
-                        }
-                        if out.max_str.as_deref().is_none_or(|m| s > m) {
-                            out.max_str = Some(s.to_string());
-                        }
-                    }
-                });
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// The shared numeric frame walk of [`RangeSketch::summarize_bounded`]:
+/// The numeric frame walk of [`RangeSketch`]'s scan:
 /// count missing/present per frame word, take fully-live frames straight
 /// from `zone` (the per-block extremes recorded at ingest), and fold
 /// partial frames and sparse rows through `value` — an ascending per-row

@@ -1,6 +1,7 @@
 //! The `Sketch`/`Summary` abstraction (paper §4.1, Appendix A).
 
-use crate::view::TableView;
+use crate::view::{Scope, TableView};
+use hillview_columnar::Predicate;
 use hillview_net::Wire;
 use std::fmt;
 
@@ -47,9 +48,10 @@ pub trait Summary: Clone + Send + Sync + 'static {
 /// A mergeable summarization method bound to concrete parameters
 /// (column names, bucket boundaries, sampling rates...).
 ///
-/// Implementations must be deterministic functions of `(view, seed)`: the
-/// engine logs seeds in its redo log and replays sketches after failures,
-/// expecting bit-identical summaries (paper §5.8).
+/// Implementations must be deterministic functions of `(view, scope,
+/// seed)`: the engine logs seeds in its redo log and replays sketches after
+/// failures, expecting bit-identical summaries (paper §5.8). The crate docs
+/// ("Writing a vizketch") give the full contract.
 pub trait Sketch: Send + Sync + 'static {
     /// The summary type this sketch produces.
     type Summary: Summary + Wire;
@@ -57,80 +59,47 @@ pub trait Sketch: Send + Sync + 'static {
     /// A short stable name, used for computation-cache keys and diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Summarize one partition view.
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<Self::Summary>;
-
-    /// True when this sketch supports [`Sketch::summarize_range`], letting
-    /// the executor split one partition into row-range sub-tasks and fold
-    /// the partials with [`Summary::merge`]. Defaults to `false`; the
-    /// engine never range-splits a sketch that does not opt in.
-    fn splittable(&self) -> bool {
-        false
-    }
-
-    /// Summarize only the rows of `view` whose partition row index lies in
-    /// `lo..hi` — the intra-partition parallelism entry point.
+    /// Summarize the rows of one partition view that `scope` covers — the
+    /// one scan entry point every caller goes through.
     ///
-    /// Contract: the bounds tile the partition, so folding the summaries of
-    /// consecutive ranges (in ascending range order, starting from
-    /// [`Sketch::identity`]) must be a valid summary of the whole
-    /// partition, and sampled sketches must draw the *partition-wide*
-    /// sample from `seed` and clip it to the bounds — never re-sample the
-    /// sub-range — so that split execution stays deterministic and, for
-    /// sketches with exact merges, bit-identical to the unsplit
-    /// [`Sketch::summarize`].
-    fn summarize_range(
+    /// Contract: bounded scopes tile the partition (folding consecutive
+    /// ranges ascending from [`Sketch::identity`] is a valid summary of the
+    /// whole), and a filtered scope is bit-identical to the two-pass
+    /// execution over [`filtered_view`](crate::view::filtered_view) with
+    /// the same bounds.
+    fn summarize_scoped(
         &self,
         view: &TableView,
-        lo: usize,
-        hi: usize,
+        scope: &Scope<'_>,
         seed: u64,
-    ) -> SketchResult<Self::Summary> {
-        let _ = (view, lo, hi, seed);
-        Err(SketchError::BadConfig(format!(
-            "sketch {} does not support range splitting",
-            self.name()
-        )))
+    ) -> SketchResult<Self::Summary>;
+
+    /// Summarize a whole partition view.
+    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<Self::Summary> {
+        self.summarize_scoped(view, &Scope::default(), seed)
     }
 
-    /// Summarize the rows of `view` that satisfy `predicate` — the
-    /// **fused** filtered-query entry point.
-    ///
-    /// Contract: the result must be bit-identical to the two-pass execution
-    /// `summarize(filtered_view(view, predicate), seed)` — materialize the
-    /// filter into a membership set, then sketch it — which is exactly what
-    /// this default does. Kernels override it to compile the predicate into
-    /// a [`FrameFilter`](hillview_columnar::FrameFilter) and evaluate both
-    /// stages in one block pass (no intermediate membership set, no second
-    /// decode); the equivalence proptests pin every override against this
-    /// default.
+    /// Summarize the rows of `view` that satisfy `predicate`, with the
+    /// predicate fused into the scan.
     fn summarize_filtered(
         &self,
         view: &TableView,
-        predicate: &hillview_columnar::Predicate,
+        predicate: &Predicate,
         seed: u64,
     ) -> SketchResult<Self::Summary> {
-        self.summarize(&crate::view::filtered_view(view, predicate)?, seed)
+        let scope = Scope {
+            rows: None,
+            filter: Some(predicate),
+        };
+        self.summarize_scoped(view, &scope, seed)
     }
 
-    /// Range-bounded companion of [`Sketch::summarize_filtered`]: summarize
-    /// the rows in `lo..hi` (absolute partition row indexes) that satisfy
-    /// `predicate`. Same tiling/fold contract as [`Sketch::summarize_range`];
-    /// must be bit-identical to
-    /// `summarize_range(filtered_view(view, predicate), lo, hi, seed)`.
-    ///
-    /// Note the bounds are *absolute* row indexes into the partition —
-    /// filtering narrows the membership but never renumbers rows — so split
-    /// plans computed from the parent membership remain valid under fusion.
-    fn summarize_filtered_range(
-        &self,
-        view: &TableView,
-        predicate: &hillview_columnar::Predicate,
-        lo: usize,
-        hi: usize,
-        seed: u64,
-    ) -> SketchResult<Self::Summary> {
-        self.summarize_range(&crate::view::filtered_view(view, predicate)?, lo, hi, seed)
+    /// True when this sketch honours bounded scopes, letting the executor
+    /// split one partition into row-range sub-tasks and fold the partials
+    /// with [`Summary::merge`]. Defaults to `false`: the engine then only
+    /// passes bounds covering the whole partition.
+    fn splittable(&self) -> bool {
+        false
     }
 
     /// The merge identity (summary of an empty partition).
@@ -176,28 +145,19 @@ where
     direct == merged
 }
 
-/// The split execution plan the engine runs in parallel, executed serially:
-/// recursively halve the partition's
-/// [`SplittableSelection`](hillview_columnar::SplittableSelection) until each
-/// piece holds at most `grain` selected rows, call
-/// [`Sketch::summarize_range`] on every piece, and fold the partials in
-/// ascending range order.
-///
-/// The leaf set is a pure function of `(membership, grain)` and the fold
-/// order is fixed, so this is the *reference* the work-stealing executor
-/// must reproduce bit-for-bit whatever the thread count or steal order —
-/// the parallel-equivalence property tests compare against it. For
-/// sketches whose merge is exact (integer counts, lattices) the result also
-/// equals the unsplit [`Sketch::summarize`] bit-for-bit.
-pub fn summarize_split<S: Sketch>(
-    sketch: &S,
+/// The leaf ranges of the engine's split plan: recursively halve the
+/// partition's [`SplittableSelection`](hillview_columnar::SplittableSelection)
+/// (within `rows`, if bounded) until each piece holds at most `grain`
+/// selected rows, in ascending order. A pure function of
+/// `(membership, rows, grain)`.
+fn split_ranges(
     view: &TableView,
+    rows: Option<(usize, usize)>,
     grain: usize,
-    seed: u64,
-) -> SketchResult<S::Summary> {
+) -> Vec<(usize, usize)> {
     use hillview_columnar::SplittableSelection;
 
-    fn collect<'a>(part: SplittableSelection<'a>, grain: usize, out: &mut Vec<(usize, usize)>) {
+    fn collect(part: SplittableSelection<'_>, grain: usize, out: &mut Vec<(usize, usize)>) {
         if part.weight() > grain {
             if let Some((l, r)) = part.split() {
                 collect(l, grain, out);
@@ -205,16 +165,43 @@ pub fn summarize_split<S: Sketch>(
                 return;
             }
         }
-        let (lo, hi) = part.bounds();
-        out.push((lo, hi));
+        out.push(part.bounds());
     }
 
-    let grain = grain.max(1);
+    let part = match rows {
+        None => SplittableSelection::new(view.members()),
+        Some((lo, hi)) => SplittableSelection::with_bounds(view.members(), lo, hi),
+    };
     let mut ranges = Vec::new();
-    collect(SplittableSelection::new(view.members()), grain, &mut ranges);
+    collect(part, grain.max(1), &mut ranges);
+    ranges
+}
+
+/// The split execution plan the engine runs in parallel, executed serially:
+/// call [`Sketch::summarize_scoped`] on every leaf range of the plan
+/// (computed from the *parent* membership, so a filter in `scope` never
+/// changes the plan) and fold the partials ascending from
+/// [`Sketch::identity`].
+///
+/// The leaf set and fold order are fixed, so this is the *reference* the
+/// work-stealing executor must reproduce bit-for-bit whatever the thread
+/// count or steal order — the parallel-equivalence property tests compare
+/// against it. For sketches whose merge is exact (integer counts,
+/// lattices) the result also equals the unsplit summary bit-for-bit.
+pub fn summarize_split<S: Sketch>(
+    sketch: &S,
+    view: &TableView,
+    scope: &Scope<'_>,
+    grain: usize,
+    seed: u64,
+) -> SketchResult<S::Summary> {
     let mut acc = sketch.identity();
-    for (lo, hi) in ranges {
-        acc = acc.merge(&sketch.summarize_range(view, lo, hi, seed)?);
+    for rows in split_ranges(view, scope.rows, grain) {
+        let leaf = Scope {
+            rows: Some(rows),
+            filter: scope.filter,
+        };
+        acc = acc.merge(&sketch.summarize_scoped(view, &leaf, seed)?);
     }
     Ok(acc)
 }
@@ -232,59 +219,21 @@ where
 {
     match (
         sketch.summarize(view, seed),
-        summarize_split(sketch, view, grain, seed),
+        summarize_split(sketch, view, &Scope::default(), grain, seed),
     ) {
         (Ok(direct), Ok(split)) => direct == split,
         _ => false,
     }
 }
 
-/// Split-execution reference for a **fused** filtered query: compute the
-/// leaf ranges from the *parent* membership (filtering never renumbers rows,
-/// and the engine plans splits before the filter has been materialized),
-/// run [`Sketch::summarize_filtered_range`] on every leaf, and fold
-/// ascending from [`Sketch::identity`]. The work-stealing executor must
-/// reproduce this bit-for-bit under the fused path, whatever the thread
-/// count. Used by tests.
-pub fn summarize_filtered_split<S: Sketch>(
-    sketch: &S,
-    view: &TableView,
-    predicate: &hillview_columnar::Predicate,
-    grain: usize,
-    seed: u64,
-) -> SketchResult<S::Summary> {
-    use hillview_columnar::SplittableSelection;
-
-    fn collect<'a>(part: SplittableSelection<'a>, grain: usize, out: &mut Vec<(usize, usize)>) {
-        if part.weight() > grain {
-            if let Some((l, r)) = part.split() {
-                collect(l, grain, out);
-                collect(r, grain, out);
-                return;
-            }
-        }
-        let (lo, hi) = part.bounds();
-        out.push((lo, hi));
-    }
-
-    let grain = grain.max(1);
-    let mut ranges = Vec::new();
-    collect(SplittableSelection::new(view.members()), grain, &mut ranges);
-    let mut acc = sketch.identity();
-    for (lo, hi) in ranges {
-        acc = acc.merge(&sketch.summarize_filtered_range(view, predicate, lo, hi, seed)?);
-    }
-    Ok(acc)
-}
-
-/// Check the fusion law on concrete data: the fused filtered entry points
-/// must reproduce the two-pass execution (filter to a membership set, then
-/// sketch) bit-for-bit — both whole-partition and range-split from the
-/// parent membership. Used by tests.
+/// Check the fusion law on concrete data: filtered scopes must reproduce
+/// the two-pass execution (filter to a membership set, then sketch)
+/// bit-for-bit — both whole-partition and per leaf of the split plan
+/// computed from the parent membership. Used by tests.
 pub fn fused_law_holds<S>(
     sketch: &S,
     view: &TableView,
-    predicate: &hillview_columnar::Predicate,
+    predicate: &Predicate,
     grain: usize,
     seed: u64,
 ) -> bool
@@ -292,57 +241,30 @@ where
     S: Sketch,
     S::Summary: PartialEq,
 {
-    let narrowed = match crate::view::filtered_view(view, predicate) {
-        Ok(v) => v,
-        Err(_) => return false,
-    };
-    let two_pass = match sketch.summarize(&narrowed, seed) {
-        Ok(s) => s,
-        Err(_) => return false,
-    };
-    let fused = match sketch.summarize_filtered(view, predicate, seed) {
-        Ok(s) => s,
-        Err(_) => return false,
-    };
-    if fused != two_pass {
+    let Ok(narrowed) = crate::view::filtered_view(view, predicate) else {
         return false;
-    }
+    };
+    let mut ranges = vec![None];
     if sketch.splittable() {
-        // Compare leaf-by-leaf over the *same* parent-derived ranges: the
-        // fused executor plans splits from the parent membership (the filter
-        // is never materialized), and per leaf the fused range summary must
-        // equal the two-pass range summary bit-for-bit — each visits
+        // Leaf by leaf over the *same* parent-derived ranges: each visits
         // identical rows in identical order, so this holds even for
         // floating-point-summing kernels.
-        use hillview_columnar::SplittableSelection;
-        fn collect<'a>(part: SplittableSelection<'a>, grain: usize, out: &mut Vec<(usize, usize)>) {
-            if part.weight() > grain {
-                if let Some((l, r)) = part.split() {
-                    collect(l, grain, out);
-                    collect(r, grain, out);
-                    return;
-                }
-            }
-            let (lo, hi) = part.bounds();
-            out.push((lo, hi));
-        }
-        let mut ranges = Vec::new();
-        collect(
-            SplittableSelection::new(view.members()),
-            grain.max(1),
-            &mut ranges,
-        );
-        for (lo, hi) in ranges {
-            match (
-                sketch.summarize_filtered_range(view, predicate, lo, hi, seed),
-                sketch.summarize_range(&narrowed, lo, hi, seed),
-            ) {
-                (Ok(f), Ok(t)) if f == t => {}
-                _ => return false,
-            }
-        }
+        ranges.extend(split_ranges(view, None, grain).into_iter().map(Some));
     }
-    true
+    ranges.into_iter().all(|rows| {
+        let fused = Scope {
+            rows,
+            filter: Some(predicate),
+        };
+        let two_pass = Scope { rows, filter: None };
+        match (
+            sketch.summarize_scoped(view, &fused, seed),
+            sketch.summarize_scoped(&narrowed, &two_pass, seed),
+        ) {
+            (Ok(f), Ok(t)) => f == t,
+            _ => false,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -7,33 +7,111 @@
 
 use crate::traits::SketchResult;
 use hillview_columnar::scan::{rows_in_range, Selection};
-use hillview_columnar::{filter_members, MembershipSet, Predicate, Table};
+use hillview_columnar::{filter_members, FrameFilter, MembershipSet, Predicate, Table};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
-/// The driver [`Selection`] for a possibly row-bounded kernel scan: a
-/// pre-drawn partition-wide sample clipped to the bounds, or the membership
-/// set clipped to the bounds. Centralizes the rule every splittable kernel
-/// follows — samples are drawn once per partition and *clipped*, never
-/// re-drawn per sub-range.
-pub(crate) fn bounded_selection<'a>(
-    view: &'a TableView,
-    sampled: &'a Option<Arc<Vec<u32>>>,
-    bounds: Option<(usize, usize)>,
-) -> Selection<'a> {
-    match (sampled, bounds) {
-        (Some(rows), None) => Selection::Rows(rows),
-        (Some(rows), Some((lo, hi))) => Selection::Rows(rows_in_range(rows, lo, hi)),
-        (None, None) => Selection::Members(view.members()),
-        (None, Some((lo, hi))) => Selection::members_in(view.members(), lo, hi),
+/// The rows one [`Sketch::summarize_scoped`](crate::Sketch::summarize_scoped)
+/// call covers: the members of a partition view, optionally bounded to a
+/// row range and optionally narrowed by a predicate fused into the scan.
+///
+/// `Scope::default()` is the whole partition, unfiltered. The bounds are
+/// *absolute* partition row indexes — filtering narrows the membership but
+/// never renumbers rows — so split plans computed from the parent
+/// membership stay valid under fusion. See the crate docs ("Writing a
+/// vizketch") for the tiling, fusion and sampling contract.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Scope<'p> {
+    /// Row bounds `lo..hi`; `None` covers the whole partition.
+    pub rows: Option<(usize, usize)>,
+    /// Predicate evaluated inside the scan; `None` keeps every member.
+    pub filter: Option<&'p Predicate>,
+}
+
+impl Scope<'_> {
+    /// Run a kernel's scan `body` over the rows this scope selects from
+    /// `view` and return its result. Use [`Scope::scan_counted`] when the
+    /// kernel also needs the number of rows the body was shown.
+    ///
+    /// `sample` is `Some((rate, seed))` for a sampled kernel. The sample is
+    /// drawn partition-wide and *clipped* to the bounds, never re-drawn per
+    /// sub-range, so split execution tiles exactly. A sampled, filtered
+    /// scope first materializes the filter and draws from the narrowed
+    /// membership (the two-pass execution), because a sample of the
+    /// unfiltered membership is a different row set.
+    ///
+    /// The body sees a single-pass selection under a filter: it must drain
+    /// it (once) for the match count to be complete.
+    pub(crate) fn scan<R>(
+        &self,
+        view: &TableView,
+        sample: Option<(f64, u64)>,
+        body: impl FnOnce(&Selection<'_>) -> SketchResult<R>,
+    ) -> SketchResult<R> {
+        Ok(self.run(view, sample, false, body)?.0)
+    }
+
+    /// [`Scope::scan`], also returning the number of rows the body was
+    /// shown: the filter's match count under fusion, the selection size
+    /// otherwise.
+    pub(crate) fn scan_counted<R>(
+        &self,
+        view: &TableView,
+        sample: Option<(f64, u64)>,
+        body: impl FnOnce(&Selection<'_>) -> SketchResult<R>,
+    ) -> SketchResult<(R, u64)> {
+        self.run(view, sample, true, body)
+    }
+
+    /// The shared scan. An unfiltered selection is only counted when
+    /// `count` asks for it (a popcount pass over a dense membership); the
+    /// fused count is free, read back from the filter.
+    fn run<R>(
+        &self,
+        view: &TableView,
+        sample: Option<(f64, u64)>,
+        count: bool,
+        body: impl FnOnce(&Selection<'_>) -> SketchResult<R>,
+    ) -> SketchResult<(R, u64)> {
+        if let (Some(_), Some(pred)) = (sample, self.filter) {
+            let narrowed = filtered_view(view, pred)?;
+            let unfiltered = Scope {
+                rows: self.rows,
+                filter: None,
+            };
+            return unfiltered.run(&narrowed, sample, count, body);
+        }
+        let drawn = sample.map(|(rate, seed)| view.sample_rows(rate, seed));
+        let base = match (&drawn, self.rows) {
+            (Some(rows), None) => Selection::Rows(rows),
+            (Some(rows), Some((lo, hi))) => Selection::Rows(rows_in_range(rows, lo, hi)),
+            (None, None) => Selection::Members(view.members()),
+            (None, Some((lo, hi))) => Selection::members_in(view.members(), lo, hi),
+        };
+        match self.filter {
+            None => {
+                let out = body(&base)?;
+                let rows = if count { base.count() as u64 } else { 0 };
+                Ok((out, rows))
+            }
+            Some(pred) => {
+                let ff = RefCell::new(FrameFilter::compile(pred, view.table())?);
+                let out = body(&Selection::Filtered {
+                    base: &base,
+                    filter: &ff,
+                })?;
+                let matched = ff.borrow().matched();
+                Ok((out, matched))
+            }
+        }
     }
 }
 
 /// Materialize `predicate` over `view` into a narrowed view — the
 /// **two-pass** execution of a filtered query (filter to a membership set,
 /// then sketch it). This is the reference the fused one-pass path is pinned
-/// against, and the fallback kernels use whenever fusion can't apply (e.g.
-/// sampled sketches, whose sample must be drawn from the *filtered*
-/// membership).
+/// against, and what [`Scope`] falls back to for sampled kernels, whose
+/// sample must be drawn from the *filtered* membership.
 pub fn filtered_view(view: &TableView, predicate: &Predicate) -> SketchResult<TableView> {
     let members = filter_members(view.table(), predicate, view.members())?;
     Ok(TableView::with_members(

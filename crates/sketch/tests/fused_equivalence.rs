@@ -1,5 +1,5 @@
-//! Fusion-law property tests: for every kernel, the fused filtered entry
-//! points (`summarize_filtered` / `summarize_filtered_range`) must
+//! Fusion-law property tests: for every kernel, filtered scopes
+//! (`summarize_scoped` with a filter, whole-partition or bounded) must
 //! reproduce the two-pass execution — materialize the predicate into a
 //! membership set with `filter_members`, then sketch it — **bit for bit**,
 //! across random tables, predicate shapes, membership representations,
@@ -30,10 +30,10 @@ use hillview_sketch::pca::PcaSketch;
 use hillview_sketch::quantile::QuantileSketch;
 use hillview_sketch::range::RangeSketch;
 use hillview_sketch::stacked::StackedHistogramSketch;
-use hillview_sketch::traits::{fused_law_holds, summarize_filtered_split, Sketch};
+use hillview_sketch::traits::{fused_law_holds, summarize_split, Sketch};
 #[cfg(feature = "simd")]
 use hillview_sketch::view::filtered_view;
-use hillview_sketch::TableView;
+use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -229,7 +229,6 @@ proptest! {
     ) {
         use hillview_columnar::predicate::filter_members_rowwise;
         use hillview_columnar::row_sampled;
-        use hillview_sketch::traits::summarize_filtered_split;
 
         let n = t.num_rows();
         let table = Arc::new(t);
@@ -266,7 +265,7 @@ proptest! {
         prop_assert_eq!(got, want);
         // Tiling: parent-planned leaves fold to the unsplit fused summary.
         prop_assert_eq!(
-            summarize_filtered_split(&hh, &v, &p, grain, seed).unwrap(),
+            summarize_split(&hh, &v, &Scope { rows: None, filter: Some(&p) }, grain, seed).unwrap(),
             fused
         );
 
@@ -281,7 +280,7 @@ proptest! {
         let want_keys: Vec<_> = sample.iter().map(|&r| resolved.key(&table, r)).collect();
         prop_assert_eq!(&fused.keys, &want_keys);
         prop_assert_eq!(
-            summarize_filtered_split(&qs, &v, &p, grain, seed).unwrap().keys,
+            summarize_split(&qs, &v, &Scope { rows: None, filter: Some(&p) }, grain, seed).unwrap().keys,
             want_keys
         );
     }
@@ -343,7 +342,7 @@ proptest! {
     }
 
     /// Fused split law for exact-merge kernels: folding parent-planned
-    /// leaves of `summarize_filtered_range` equals the unsplit fused pass
+    /// leaves of a filtered bounded scope equals the unsplit fused pass
     /// at every grain — what keeps PR 3's parallel leaves and PR 6's
     /// retry-on-failure sites correct under fusion.
     #[test]
@@ -365,7 +364,7 @@ proptest! {
             ($sk:expr) => {{
                 let sk = $sk;
                 prop_assert_eq!(
-                    summarize_filtered_split(&sk, &v, &p, grain, seed).unwrap(),
+                    summarize_split(&sk, &v, &Scope { rows: None, filter: Some(&p) }, grain, seed).unwrap(),
                     sk.summarize_filtered(&v, &p, seed).unwrap(),
                     "fused split law failed for {} under {:?}", sk.name(), &p
                 );

@@ -21,7 +21,7 @@ use hillview_sketch::pca::PcaSketch;
 use hillview_sketch::quantile::QuantileSketch;
 use hillview_sketch::stacked::StackedHistogramSketch;
 use hillview_sketch::traits::Sketch;
-use hillview_sketch::TableView;
+use hillview_sketch::{Scope, TableView};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -510,18 +510,18 @@ proptest! {
 
         let mg = MisraGriesSketch::new("C", k);
         let serial = mg.summarize(&v, 0).unwrap();
-        let split = summarize_split(&mg, &v, grain, 0).unwrap();
-        let split2 = summarize_split(&mg, &v, grain, 0).unwrap();
+        let split = summarize_split(&mg, &v, &Scope::default(), grain, 0).unwrap();
+        let split2 = summarize_split(&mg, &v, &Scope::default(), grain, 0).unwrap();
         prop_assert_eq!(&split, &split2, "MG split fold is deterministic");
         prop_assert_eq!(split.total, serial.total);
         prop_assert!(split.counters.len() <= k);
         // Whole-partition grain degenerates to the serial pass.
-        let whole = summarize_split(&mg, &v, n.max(1), 0).unwrap();
+        let whole = summarize_split(&mg, &v, &Scope::default(), n.max(1), 0).unwrap();
         prop_assert_eq!(&whole, &serial);
 
         let mo = MomentsSketch::new("X", 3);
         let serial = mo.summarize(&v, 0).unwrap();
-        let split = summarize_split(&mo, &v, grain, 0).unwrap();
+        let split = summarize_split(&mo, &v, &Scope::default(), grain, 0).unwrap();
         prop_assert_eq!(split.present, serial.present);
         prop_assert_eq!(split.missing, serial.missing);
         prop_assert_eq!(split.min, serial.min);
@@ -530,14 +530,14 @@ proptest! {
             let tol = 1e-9 * w.abs().max(1.0);
             prop_assert!((s - w).abs() <= tol, "sum {s} vs {w}");
         }
-        let whole = summarize_split(&mo, &v, n.max(1), 0).unwrap();
+        let whole = summarize_split(&mo, &v, &Scope::default(), n.max(1), 0).unwrap();
         prop_assert_eq!(&whole, &serial);
 
         let pca = PcaSketch::new(&["X", "I"], 1.0);
         let serial = pca.summarize(&v, 0).unwrap();
-        let split = summarize_split(&pca, &v, grain, 0).unwrap();
+        let split = summarize_split(&pca, &v, &Scope::default(), grain, 0).unwrap();
         prop_assert_eq!(split.count, serial.count);
-        let whole = summarize_split(&pca, &v, n.max(1), 0).unwrap();
+        let whole = summarize_split(&pca, &v, &Scope::default(), n.max(1), 0).unwrap();
         prop_assert_eq!(&whole, &serial);
     }
 
@@ -584,8 +584,8 @@ proptest! {
                     .build()
                     .unwrap();
                 let v = TableView::with_members(Arc::new(t), members.clone());
-                let h = summarize_split(&hist, &v, grain, 0).unwrap();
-                let m = summarize_split(&mg, &v, grain, 0).unwrap();
+                let h = summarize_split(&hist, &v, &Scope::default(), grain, 0).unwrap();
+                let m = summarize_split(&mg, &v, &Scope::default(), grain, 0).unwrap();
                 results.push((h, m));
             }
             for r in &results[1..] {

@@ -1,8 +1,6 @@
 //! HVC version 3 — the mmap-friendly layout of the columnar format.
 //!
-//! v2 optimizes for the wire: everything is varint-packed back to back, so
-//! a reader must decode the whole stream to materialize any column. v3
-//! optimizes for the *file*: all variable-length metadata moves into a
+//! v3 optimizes for the *file*: all variable-length metadata lives in a
 //! self-contained header, and the bulk payloads (plain values, packed
 //! words, doubles) are written as raw little-endian sections aligned to 64
 //! bytes, so an [`hillview_columnar::residency::Segment`] can hand out
@@ -13,7 +11,7 @@
 //! header blob (all integers varint unless noted):
 //!   column_count | row_count
 //!   per column:
-//!     name | kind byte | null_run_lengths (as in v2)
+//!     name | kind byte | null_run_lengths
 //!     payload descriptor:
 //!       Int/Date: enc byte, declared value count, then
 //!         0 (plain):      section offset
@@ -32,9 +30,9 @@
 //! boundary at or after the header — and each section starts on a 64-byte
 //! boundary of its own, so every `i64`/`u64`/`f64` payload is naturally
 //! aligned however long the header is. Sections hold raw little-endian
-//! values: v3 deliberately trades v2's delta-of-previous varint shrink on
-//! plain integers for fixed-width layouts a scan can borrow in place
-//! (packed encodings still compress, and their word sections map as well).
+//! values: plain integers stay fixed-width so a scan can borrow them in
+//! place (packed encodings still compress, and their word sections map as
+//! well).
 //!
 //! Because the header also persists each column's zone map, a mapped open
 //! ([`read_file_mapped`]) constructs every column without touching one
@@ -43,10 +41,10 @@
 //! [`probe_file`] goes one step further and reads *only* the header —
 //! enough for partition planning (schema + row count) at O(header) I/O.
 //!
-//! Integrity: the header is validated as strictly as v2 (declared counts
-//! vs. rows, run structure, encoding invariants, zone-map block counts).
-//! The heap path ([`decode_owned`]) additionally validates every
-//! dictionary code like v2 does; the mapped path must not (that would
+//! Integrity: the header is validated strictly (declared counts vs. rows,
+//! run structure, encoding invariants, zone-map block counts). The heap
+//! path ([`decode_owned`]) additionally validates every dictionary code;
+//! the mapped path must not (that would
 //! fault in the payload laziness exists to avoid), so it bounds codes by
 //! the persisted per-block zone maxima instead — O(header) — and a file
 //! whose payload contradicts its zone maps surfaces as a worker-isolated
@@ -142,7 +140,7 @@ fn encode_int_storage_v3<T: PackedInt + Pod>(
             w.put_varint(sections.push(bytes) as u64);
         }
         IntStorage::RunLength { values, ends } => {
-            // Fully inline, exactly as in v2: run tables are consulted by
+            // Fully inline in the header: run tables are consulted by
             // every block decision, so there is nothing to keep lazy.
             w.put_u8(ENC_RUN_LENGTH);
             w.put_varint(ends.last().copied().unwrap_or(0) as u64);
@@ -559,7 +557,7 @@ fn build_int_storage<T: Pod + PackedInt>(
 }
 
 /// Assemble a [`Table`] from a parsed header and a payload source.
-/// `deep_validate` runs the v2-parity full dictionary-code check (heap
+/// `deep_validate` runs the full dictionary-code check (heap
 /// path); the mapped path instead bounds codes by the persisted zone
 /// maxima, which never touches payload bytes.
 fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<Table> {
@@ -623,7 +621,7 @@ fn build_table(header: Header, src: &Source<'_>, deep_validate: bool) -> Result<
 
 fn split_image(bytes: &[u8]) -> Result<(Bytes, usize)> {
     if bytes.len() < 8 || &bytes[0..4] != MAGIC3 {
-        return Err(parse_err("bad v3 magic"));
+        return Err(parse_err("bad magic"));
     }
     let header_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
     let end = 8usize
@@ -645,9 +643,9 @@ pub fn decode_owned(bytes: &[u8]) -> Result<Table> {
 
 /// Open a v3 file as lazily-resident, file-backed columns: bulk payloads
 /// become zero-copy [`ValueBuf`] windows over a [`Segment`] attached to
-/// `cache`, and no payload byte is read until a scan touches it. A v2 file
-/// (or any open on a big-endian host) transparently falls back to the
-/// heap-resident [`hvc::read_file`] path.
+/// `cache`, and no payload byte is read until a scan touches it. An open on
+/// a big-endian host falls back to the heap-resident [`hvc::read_file`]
+/// path.
 pub fn read_file_mapped(
     path: impl AsRef<Path>,
     cache: &Arc<BlockCache>,
@@ -657,17 +655,7 @@ pub fn read_file_mapped(
     if cfg!(target_endian = "big") {
         return hvc::read_file(path);
     }
-    let mut f = std::fs::File::open(path)?;
-    let mut head = [0u8; 8];
-    if read_some(&mut f, &mut head)? < 4 || &head[0..4] != MAGIC3 {
-        return hvc::read_file(path);
-    }
-    let header_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
-    let mut hdr = vec![0u8; header_len];
-    f.read_exact(&mut hdr)
-        .map_err(|_| parse_err("v3 header exceeds file length"))?;
-    drop(f);
-    let header = parse_header(Bytes::from(hdr), align_up(8 + header_len))?;
+    let header = read_header(&mut std::fs::File::open(path)?)?;
     let seg = Segment::open(path, mode, cache)?;
     build_table(header, &Source::Mapped(seg), false)
 }
@@ -675,15 +663,12 @@ pub fn read_file_mapped(
 /// What [`probe_file`] learns from a file's header alone.
 #[derive(Debug, Clone)]
 pub struct FileInfo {
-    /// Container version (2 or 3).
-    pub version: u8,
     /// Number of columns.
     pub columns: usize,
     /// Number of rows.
     pub rows: usize,
-    /// Full schema — available for v3 (whose header is self-contained);
-    /// `None` for v2, where the schema is interleaved with the payload.
-    pub schema: Option<Schema>,
+    /// Full schema.
+    pub schema: Schema,
 }
 
 /// Read as many bytes as the reader has, up to `buf.len()`.
@@ -699,30 +684,12 @@ fn read_some(f: &mut impl Read, buf: &mut [u8]) -> Result<usize> {
     Ok(n)
 }
 
-/// Probe a file's identity, dimensions and (v3) schema by reading only its
-/// header — never the column payloads. This is what partition loading uses
-/// to plan shard assignment without faulting data in.
-pub fn probe_file(path: impl AsRef<Path>) -> Result<FileInfo> {
-    let mut f = std::fs::File::open(path)?;
-    // 4 magic + 4 length word (v3) — or 4 magic + two varints (v2, ≤ 10
-    // bytes each). 24 bytes covers both.
-    let mut head = [0u8; 24];
-    let n = read_some(&mut f, &mut head)?;
-    if n < 4 {
-        return Err(parse_err("file too short for magic"));
-    }
-    if &head[0..4] == hvc::MAGIC {
-        let mut r = WireReader::new(Bytes::copy_from_slice(&head[4..n]));
-        let columns = r.get_len("columns").map_err(wire_err)?;
-        let rows = r.get_len("rows").map_err(wire_err)?;
-        return Ok(FileInfo {
-            version: 2,
-            columns,
-            rows,
-            schema: None,
-        });
-    }
-    if &head[0..4] != MAGIC3 {
+/// Read and parse a file's header — magic, header length, header blob —
+/// without touching the payload behind it.
+fn read_header(f: &mut std::fs::File) -> Result<Header> {
+    let mut head = [0u8; 8];
+    let n = read_some(f, &mut head)?;
+    if n < 4 || &head[0..4] != MAGIC3 {
         return Err(parse_err("bad magic"));
     }
     if n < 8 {
@@ -730,21 +697,25 @@ pub fn probe_file(path: impl AsRef<Path>) -> Result<FileInfo> {
     }
     let header_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
     let mut hdr = vec![0u8; header_len];
-    let have = (n - 8).min(header_len);
-    hdr[..have].copy_from_slice(&head[8..8 + have]);
-    f.read_exact(&mut hdr[have..])
+    f.read_exact(&mut hdr)
         .map_err(|_| parse_err("v3 header exceeds file length"))?;
-    let header = parse_header(Bytes::from(hdr), align_up(8 + header_len))?;
+    parse_header(Bytes::from(hdr), align_up(8 + header_len))
+}
+
+/// Probe a file's identity, dimensions and schema by reading only its
+/// header — never the column payloads. This is what partition loading uses
+/// to plan shard assignment without faulting data in.
+pub fn probe_file(path: impl AsRef<Path>) -> Result<FileInfo> {
+    let header = read_header(&mut std::fs::File::open(path)?)?;
     let descs: Vec<ColumnDesc> = header
         .columns
         .iter()
         .map(|c| ColumnDesc::new(&c.name, c.kind))
         .collect();
     Ok(FileInfo {
-        version: 3,
         columns: header.columns.len(),
         rows: header.rows,
-        schema: Some(Schema::from_descs(descs)?),
+        schema: Schema::from_descs(descs)?,
     })
 }
 
@@ -862,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn write_file_emits_v3_and_read_file_sniffs_both() {
+    fn write_file_emits_v3() {
         let d = dir();
         let t = mixed_table(300);
         let p3 = d.join("t3.hvc");
@@ -870,12 +841,6 @@ mod tests {
         let bytes = std::fs::read(&p3).unwrap();
         assert_eq!(&bytes[0..4], MAGIC3);
         assert_tables_identical(&t, &hvc::read_file(&p3).unwrap());
-        // v2 files remain readable through the same entry point.
-        let p2 = d.join("t2.hvc");
-        hvc::write_file_v2(&t, &p2).unwrap();
-        let bytes = std::fs::read(&p2).unwrap();
-        assert_eq!(&bytes[0..4], hvc::MAGIC);
-        assert_tables_identical(&t, &hvc::read_file(&p2).unwrap());
     }
 
     #[test]
@@ -951,28 +916,15 @@ mod tests {
     }
 
     #[test]
-    fn mapped_falls_back_to_heap_for_v2_files() {
-        let d = dir();
-        let t = mixed_table(200);
-        let p = d.join("old.hvc");
-        hvc::write_file_v2(&t, &p).unwrap();
-        let cache = BlockCache::unbounded();
-        let m = read_file_mapped(&p, &cache, SegmentMode::Auto).unwrap();
-        assert_tables_identical(&t, &m);
-        assert_eq!(m.mapped_bytes(), 0);
-    }
-
-    #[test]
     fn probe_reads_header_only() {
         let d = dir();
         let t = mixed_table(600);
         let p = d.join("probe.hvc");
         hvc::write_file(&t, &p).unwrap();
         let info = probe_file(&p).unwrap();
-        assert_eq!(info.version, 3);
         assert_eq!(info.rows, 600);
         assert_eq!(info.columns, 6);
-        let schema = info.schema.unwrap();
+        let schema = info.schema;
         assert_eq!(schema.index_of("score").unwrap(), 4);
         assert_eq!(schema.desc(5).kind, ColumnKind::Category);
         // Truncate the file to magic + header: the probe still succeeds
@@ -982,21 +934,8 @@ mod tests {
         let cut = d.join("probe-cut.hvc");
         std::fs::write(&cut, &bytes[..8 + header_len]).unwrap();
         let info = probe_file(&cut).unwrap();
-        assert_eq!((info.version, info.rows), (3, 600));
+        assert_eq!(info.rows, 600);
         assert!(hvc::read_file(&cut).is_err());
-    }
-
-    #[test]
-    fn probe_reports_v2_dimensions() {
-        let d = dir();
-        let t = mixed_table(250);
-        let p = d.join("probe2.hvc");
-        hvc::write_file_v2(&t, &p).unwrap();
-        let info = probe_file(&p).unwrap();
-        assert_eq!(info.version, 2);
-        assert_eq!(info.rows, 250);
-        assert_eq!(info.columns, 6);
-        assert!(info.schema.is_none());
     }
 
     #[test]
@@ -1043,6 +982,128 @@ mod tests {
             ),
             "got {err}"
         );
+    }
+
+    /// A file image around a hand-written header blob: magic, header
+    /// length, header, padding to the payload base, then `payload`.
+    fn image(header: WireWriter, payload: &[u8]) -> Vec<u8> {
+        let hdr = header.finish();
+        let mut out = MAGIC3.to_vec();
+        out.extend_from_slice(&(hdr.len() as u32).to_le_bytes());
+        out.extend_from_slice(&hdr);
+        out.resize(align_up(out.len()), 0);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Header of a one-column, null-free table of `rows` rows: counts,
+    /// name, kind and the single present run.
+    fn one_column(name: &str, kind: ColumnKind, rows: u64) -> WireWriter {
+        let mut w = WireWriter::new();
+        w.put_varint(1); // columns
+        w.put_varint(rows);
+        w.put_str(name);
+        w.put_u8(kind_byte(kind));
+        w.put_varint(1); // one null run...
+        w.put_varint(rows); // ...of present rows
+        w
+    }
+
+    /// A run-length Int column of 4 rows with runs `(7, a)` and `(9, b)`.
+    fn run_length_image(a: u64, b: u64) -> Vec<u8> {
+        let mut w = one_column("X", ColumnKind::Int, 4);
+        w.put_u8(ENC_RUN_LENGTH);
+        w.put_varint(4); // declared values
+        w.put_varint(2); // runs
+        w.put_i64(7);
+        w.put_varint(a);
+        w.put_i64(9);
+        w.put_varint(b);
+        w.put_varint(1); // zone blocks
+        w.put_i64(7);
+        w.put_i64(9);
+        image(w, &[])
+    }
+
+    #[test]
+    fn corrupt_run_lengths_rejected() {
+        assert_eq!(decode_owned(&run_length_image(2, 2)).unwrap().num_rows(), 4);
+        let err = decode_owned(&run_length_image(0, 4)).unwrap_err();
+        assert!(err.to_string().contains("zero-length run"), "got {err}");
+        // Runs summing one short of the row count.
+        let err = decode_owned(&run_length_image(2, 1)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::RowCountMismatch {
+                    declared: 4,
+                    actual: 3,
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+    }
+
+    /// A String column of 2 present rows whose dictionary holds `dict`,
+    /// with plain codes `[0, 0]` in the payload.
+    fn dict_image(dict: &[&str]) -> Vec<u8> {
+        let mut w = one_column("S", ColumnKind::String, 2);
+        w.put_varint(dict.len() as u64);
+        for s in dict {
+            w.put_str(s);
+        }
+        w.put_u8(ENC_PLAIN);
+        w.put_varint(2); // declared codes
+        w.put_varint(0); // section offset
+        w.put_varint(1); // zone blocks
+        w.put_varint(0);
+        w.put_varint(0);
+        image(w, &[0; 8])
+    }
+
+    #[test]
+    fn empty_dictionary_with_present_rows_rejected() {
+        // Present rows would dereference the missing entry: both the heap
+        // and the mapped open must reject the file up front.
+        let good = dict_image(&["a"]);
+        assert_eq!(
+            decode_owned(&good).unwrap().get(1, "S").unwrap(),
+            Value::str("a")
+        );
+        let bad = dict_image(&[]);
+        let err = decode_owned(&bad).unwrap_err();
+        assert!(err.to_string().contains("empty dictionary"), "got {err}");
+        let p = dir().join("emptydict.hvc");
+        let cache = BlockCache::unbounded();
+        std::fs::write(&p, &good).unwrap();
+        assert!(read_file_mapped(&p, &cache, SegmentMode::Pread).is_ok());
+        std::fs::write(&p, &bad).unwrap();
+        let err = read_file_mapped(&p, &cache, SegmentMode::Pread).unwrap_err();
+        assert!(err.to_string().contains("empty dictionary"), "got {err}");
+    }
+
+    #[test]
+    fn oversized_code_varints_rejected() {
+        // A code varint above u32::MAX must error instead of wrapping into
+        // a small (possibly in-range) code.
+        let codes = |code: u64| {
+            let mut w = one_column("S", ColumnKind::String, 1);
+            w.put_varint(1); // dict_len
+            w.put_str("a");
+            w.put_u8(ENC_RUN_LENGTH);
+            w.put_varint(1); // declared codes
+            w.put_varint(1); // runs
+            w.put_varint(code);
+            w.put_varint(1);
+            w.put_varint(1); // zone blocks
+            w.put_varint(0);
+            w.put_varint(0);
+            image(w, &[])
+        };
+        assert!(decode_owned(&codes(0)).is_ok());
+        let err = decode_owned(&codes(1u64 << 32)).unwrap_err();
+        assert!(err.to_string().contains("dictionary code"), "got {err}");
     }
 
     #[test]

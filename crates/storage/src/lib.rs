@@ -13,7 +13,7 @@
 //!   self-contained JSON parser.
 //! * [`hvc`] — our columnar binary format ("HillView Columnar"), the
 //!   substitute for ORC/Parquet: per-column typed blocks with dictionary
-//!   pages, varint-encoded, fast sequential column reads.
+//!   pages and aligned raw payload sections, mappable for zero-copy scans.
 //! * [`partition`] — horizontal partitioning into micropartitions
 //!   (paper §5.3: "the data partition within a server is divided into
 //!   micropartitions ... each assigned to a leaf").
@@ -28,7 +28,7 @@
 //!
 //! 1. **Heap** ([`hvc::read_file`]) — the whole payload is decoded into
 //!    owned columns. Fastest scans, O(dataset) memory; also the only
-//!    correct path on big-endian hosts and for v2 files.
+//!    correct path on big-endian hosts.
 //! 2. **Lazy pread** ([`hvc::read_file_mapped`] without the `ooc`
 //!    feature) — columns are windows over an anonymous buffer filled
 //!    64 KiB chunks at a time by `pread` as scans touch them. Untouched

@@ -296,9 +296,9 @@ mod tests {
         w.push(&rows(200, 0)).unwrap();
         let m = w.finish().unwrap();
         for p in m.paths() {
+            assert_eq!(&std::fs::read(p).unwrap()[0..4], b"HVC3");
             let info = hvc::probe_file(p).unwrap();
-            assert_eq!(info.version, 3);
-            assert!(info.schema.is_some());
+            assert_eq!(info.columns, info.schema.len());
         }
         assert_eq!(list_parts(&d).unwrap().len(), m.parts.len());
     }

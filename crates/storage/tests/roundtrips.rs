@@ -8,6 +8,19 @@ use hillview_storage::partition::{partition_table, slice_table};
 use proptest::prelude::*;
 use std::io::Cursor;
 
+/// Write `t` as an hvc file and read it back (file named per process and
+/// per test, so concurrent runs never share one).
+fn hvc_file_roundtrip(t: &Table, test: &str) -> Table {
+    let path = std::env::temp_dir().join(format!(
+        "hillview-roundtrips-{test}-{}.hvc",
+        std::process::id()
+    ));
+    hvc::write_file(t, &path).unwrap();
+    let back = hvc::read_file(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    back
+}
+
 /// Arbitrary mixed-type tables with nulls.
 fn table_strategy() -> impl Strategy<Value = Table> {
     let row = (
@@ -44,7 +57,7 @@ proptest! {
 
     #[test]
     fn hvc_roundtrip_everything(t in table_strategy()) {
-        let decoded = hvc::decode(hvc::encode(&t)).unwrap();
+        let decoded = hvc_file_roundtrip(&t, "everything");
         prop_assert_eq!(decoded.num_rows(), t.num_rows());
         prop_assert_eq!(decoded.num_columns(), t.num_columns());
         for r in 0..t.num_rows() {
@@ -78,7 +91,7 @@ proptest! {
                 )
                 .build()
                 .unwrap();
-            let decoded = hvc::decode(hvc::encode(&t)).unwrap();
+            let decoded = hvc_file_roundtrip(&t, "encodings");
             let c = decoded.column_by_name("V").unwrap().as_i64_col().unwrap();
             prop_assert_eq!(c.storage().kind(), kind);
             prop_assert_eq!(

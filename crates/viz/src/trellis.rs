@@ -14,7 +14,7 @@ use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
 use hillview_sketch::buckets::BucketSpec;
 use hillview_sketch::heatmap::HeatmapSummary;
 use hillview_sketch::traits::{Sketch, SketchError, SketchResult, Summary};
-use hillview_sketch::TableView;
+use hillview_sketch::{filtered_view, Scope, TableView};
 use std::sync::Arc;
 
 /// Trellis-of-heat-maps sketch: group column W, then X×Y per group.
@@ -94,8 +94,23 @@ impl Sketch for TrellisSketch {
         "trellis-heatmap"
     }
 
-    fn summarize(&self, view: &TableView, seed: u64) -> SketchResult<TrellisSummary> {
+    /// A filter runs the two-pass execution (materialize, then group); only
+    /// rows inside `scope.rows` are grouped.
+    fn summarize_scoped(
+        &self,
+        view: &TableView,
+        scope: &Scope<'_>,
+        seed: u64,
+    ) -> SketchResult<TrellisSummary> {
         use hillview_sketch::heatmap::HeatmapSketch;
+        let narrowed;
+        let view = match scope.filter {
+            Some(pred) => {
+                narrowed = filtered_view(view, pred)?;
+                &narrowed
+            }
+            None => view,
+        };
         // Reuse the heat-map kernel per group by restricting rows: simple
         // and correct, though it scans W once per group. Group counts are
         // small (k ≤ ~16 on any real display).
@@ -106,7 +121,12 @@ impl Sketch for TrellisSketch {
         let mut groups_rows: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut dropped = 0u64;
         let bound = crate::trellis::bind_w(cw, &self.buckets_w)?;
-        for row in view.iter_rows() {
+        let (lo, hi) = scope.rows.unwrap_or((0, usize::MAX));
+        for row in view
+            .iter_rows()
+            .skip_while(|&r| r < lo)
+            .take_while(|&r| r < hi)
+        {
             match bound(row) {
                 Some(g) => groups_rows[g].push(row as u32),
                 None => dropped += 1,
