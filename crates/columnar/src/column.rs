@@ -15,7 +15,7 @@ use crate::dictionary::{Dictionary, DictionaryBuilder};
 use crate::encoding::{CodeStorage, I64Storage, ZoneMap};
 use crate::nullmask::NullMask;
 use crate::schema::ColumnKind;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use std::sync::Arc;
 
 /// A column of 64-bit integers (also backs `Date` columns as epoch millis).
@@ -444,6 +444,20 @@ impl Column {
                 c.get(i).map_or(Value::Missing, |s| Value::Str(s.clone()))
             }
         }
+    }
+
+    /// Compare the value at row `i` against `v`, exactly as
+    /// `self.value(i).cmp(v)` would, reading the typed storage in place:
+    /// no string is cloned and no [`Value`] is built.
+    #[inline]
+    pub fn cmp_value(&self, i: usize, v: &Value) -> std::cmp::Ordering {
+        let cell = match self {
+            Column::Int(c) => c.get(i).map_or(Cell::Missing, Cell::Int),
+            Column::Date(c) => c.get(i).map_or(Cell::Missing, Cell::Date),
+            Column::Double(c) => c.get(i).map_or(Cell::Missing, Cell::Double),
+            Column::Str(c) | Column::Cat(c) => c.get(i).map_or(Cell::Missing, |s| Cell::Str(s)),
+        };
+        cell.cmp(v.cell())
     }
 
     /// Row `i` as an `f64`, when the column is numeric and the row present.

@@ -2,11 +2,14 @@
 //!
 //! A [`SortOrder`] names the columns (and directions) by which the tabular
 //! view is currently sorted (paper §3.3: "Sort by a set of columns"). It
-//! resolves against a table to extract comparable [`RowKey`]s.
+//! resolves against a table to extract comparable [`RowKey`]s, or to compare
+//! a table row against a key in place ([`ResolvedSortOrder::cmp_row`]), so
+//! scans materialize keys only for the rows they keep.
 
 use crate::error::Result;
 use crate::rows::RowKey;
 use crate::table::Table;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One column of a sort order.
@@ -100,6 +103,22 @@ impl ResolvedSortOrder {
         RowKey::new(values, self.descending.clone())
     }
 
+    /// Order row `row` of `table` against `key`: exactly
+    /// `self.key(table, row).cmp(key)` (`Missing` first, each column's
+    /// direction applied afterwards), but read from typed column storage in
+    /// place without allocating.
+    #[inline]
+    pub fn cmp_row(&self, table: &Table, row: usize, key: &RowKey) -> Ordering {
+        for ((&c, &desc), v) in self.indexes.iter().zip(&self.descending).zip(key.values()) {
+            let ord = table.column(c).cmp_value(row, v);
+            let ord = if desc { ord.reverse() } else { ord };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+
     /// The resolved column indexes.
     pub fn indexes(&self) -> &[usize] {
         &self.indexes
@@ -114,9 +133,10 @@ impl ResolvedSortOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::{Column, DictColumn, I64Column};
+    use crate::column::{Column, DictColumn, F64Column, I64Column};
     use crate::schema::ColumnKind;
     use crate::table::Table;
+    use crate::value::Value;
 
     fn table() -> Table {
         Table::builder()
@@ -156,6 +176,67 @@ mod tests {
         let order = SortOrder::with_directions(&[("Delay", true)]);
         let r = order.resolve(&t).unwrap();
         assert!(r.key(&t, 0) < r.key(&t, 1), "10 before 5 when descending");
+    }
+
+    #[test]
+    fn cmp_row_agrees_with_materialized_keys() {
+        let t = Table::builder()
+            .column(
+                "S",
+                ColumnKind::String,
+                Column::Str(DictColumn::from_strings([
+                    Some("b"),
+                    None,
+                    Some("a"),
+                    Some("b"),
+                ])),
+            )
+            .column(
+                "D",
+                ColumnKind::Double,
+                Column::Double(F64Column::from_options([
+                    Some(-0.0),
+                    Some(1.5),
+                    None,
+                    Some(0.0),
+                ])),
+            )
+            .column(
+                "T",
+                ColumnKind::Date,
+                Column::Date(I64Column::from_options([Some(5), None, Some(-5), Some(5)])),
+            )
+            .build()
+            .unwrap();
+        let cols = ["S", "D", "T"];
+        for mask in 0..8u32 {
+            let dirs: Vec<(&str, bool)> = cols
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (*c, mask >> i & 1 == 1))
+                .collect();
+            let r = SortOrder::with_directions(&dirs).resolve(&t).unwrap();
+            for a in 0..t.num_rows() {
+                for b in 0..t.num_rows() {
+                    let kb = r.key(&t, b);
+                    assert_eq!(r.cmp_row(&t, a, &kb), r.key(&t, a).cmp(&kb), "{a} vs {b}");
+                }
+            }
+        }
+        // Keys of another type still order by type rank, as Value::cmp does.
+        let r = SortOrder::ascending(&["D"]).resolve(&t).unwrap();
+        let keys = [
+            Value::Missing,
+            Value::Int(1),
+            Value::Date(0),
+            Value::str("x"),
+        ];
+        for v in keys {
+            let k = RowKey::new(vec![v], vec![false]);
+            for row in 0..t.num_rows() {
+                assert_eq!(r.cmp_row(&t, row, &k), r.key(&t, row).cmp(&k));
+            }
+        }
     }
 
     #[test]

@@ -67,14 +67,60 @@ impl Value {
         }
     }
 
+    /// The value as a borrowed [`Cell`], the form every comparison goes
+    /// through.
+    #[inline]
+    pub(crate) fn cell(&self) -> Cell<'_> {
+        match self {
+            Value::Missing => Cell::Missing,
+            Value::Int(v) => Cell::Int(*v),
+            Value::Double(v) => Cell::Double(*v),
+            Value::Date(v) => Cell::Date(*v),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+}
+
+/// A borrowed cell value: a [`Value`] without the owned string. Table cells
+/// compare against row keys in this form, straight from typed column
+/// storage, so the ordering below is the one and only definition of how
+/// values sort.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cell<'a> {
+    Missing,
+    Int(i64),
+    Double(f64),
+    Date(i64),
+    Str(&'a str),
+}
+
+impl Cell<'_> {
     /// Rank used to order values of different types (Missing < Int < Double <
     /// Date < Str). Numeric types are compared numerically among themselves.
-    fn type_rank(&self) -> u8 {
+    #[inline]
+    fn type_rank(self) -> u8 {
         match self {
-            Value::Missing => 0,
-            Value::Int(_) | Value::Double(_) => 1,
-            Value::Date(_) => 2,
-            Value::Str(_) => 3,
+            Cell::Missing => 0,
+            Cell::Int(_) | Cell::Double(_) => 1,
+            Cell::Date(_) => 2,
+            Cell::Str(_) => 3,
+        }
+    }
+
+    /// Total order: `Missing` first, numbers compared numerically across
+    /// `Int` and `Double`, then dates, then strings.
+    #[inline]
+    pub(crate) fn cmp(self, other: Cell<'_>) -> Ordering {
+        use Cell::*;
+        match (self, other) {
+            (Missing, Missing) => Ordering::Equal,
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Double(a), Double(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+            (Int(a), Double(b)) => (a as f64).partial_cmp(&b).unwrap_or(Ordering::Equal),
+            (Double(a), Int(b)) => a.partial_cmp(&(b as f64)).unwrap_or(Ordering::Equal),
+            (Date(a), Date(b)) => a.cmp(&b),
+            (Str(a), Str(b)) => a.cmp(b),
+            _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
 }
@@ -95,17 +141,7 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Missing, Missing) => Ordering::Equal,
-            (Int(a), Int(b)) => a.cmp(b),
-            (Double(a), Double(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Int(a), Double(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Double(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
-            (Date(a), Date(b)) => a.cmp(b),
-            (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
-            _ => self.type_rank().cmp(&other.type_rank()),
-        }
+        self.cell().cmp(other.cell())
     }
 }
 

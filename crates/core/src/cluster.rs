@@ -924,18 +924,15 @@ impl Cluster {
         })
     }
 
-    /// Fold per-worker partials with the sketch's merge, starting from its
-    /// identity.
+    /// Fold per-worker partials, in worker order, with the sketch's merge,
+    /// starting from its identity.
     fn fold(
         &self,
         sketch: &Arc<dyn ErasedSketch>,
         latest: &[Option<Bytes>],
     ) -> EngineResult<Bytes> {
-        let mut acc = sketch.identity_bytes();
-        for slot in latest.iter().flatten() {
-            acc = sketch.merge_bytes(&acc, slot)?;
-        }
-        Ok(acc)
+        let slots: Vec<&Bytes> = latest.iter().flatten().collect();
+        sketch.fold_bytes(&slots)
     }
 }
 
@@ -1286,35 +1283,21 @@ fn aggregate_worker_inner(
     }
     drop(leaf_tx);
 
-    // Merge completions; propagate partials every `batch`. The running
-    // `acc` merges in completion order and only feeds the transient
-    // partial stream; the final summary is folded deterministically below.
+    // Collect completions; propagate partials every `batch`. A partial
+    // folds the running `acc` with the pieces that arrived since the last
+    // one, in completion order, so each piece is decoded once per frame it
+    // joins. It only feeds the transient partial stream; the final summary
+    // is folded deterministically below.
     let mut pieces: Vec<(u32, usize, Bytes)> = Vec::new();
     let mut acc = sketch.identity_bytes();
+    let mut folded = 0usize;
     let mut done_work = 0u64;
     let mut skipped = 0u64;
-    let mut dirty = false;
     while done_work < total_work {
         match leaf_rx.recv_timeout(batch) {
             Ok(msg) => {
                 match msg.result {
-                    Ok(Some(bytes)) => {
-                        match sketch.merge_bytes(&acc, &bytes) {
-                            Ok(merged) => acc = merged,
-                            Err(e) => {
-                                send(WorkerMsg {
-                                    worker: wid,
-                                    work_done: done_work,
-                                    work_total: total_work,
-                                    is_final: true,
-                                    payload: MsgPayload::Error(e.to_string()),
-                                });
-                                return;
-                            }
-                        }
-                        pieces.push((msg.partition, msg.lo, bytes));
-                        dirty = true;
-                    }
+                    Ok(Some(bytes)) => pieces.push((msg.partition, msg.lo, bytes)),
                     // Cancelled piece: counts as completed-with-nothing.
                     Ok(None) => skipped += 1,
                     Err(e) => {
@@ -1339,7 +1322,22 @@ fn aggregate_worker_inner(
                 done_work += msg.work;
             }
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if dirty {
+                if folded < pieces.len() {
+                    let fresh = std::iter::once(&acc).chain(pieces[folded..].iter().map(|p| &p.2));
+                    match sketch.fold_bytes(&fresh.collect::<Vec<_>>()) {
+                        Ok(merged) => acc = merged,
+                        Err(e) => {
+                            send(WorkerMsg {
+                                worker: wid,
+                                work_done: done_work,
+                                work_total: total_work,
+                                is_final: true,
+                                payload: MsgPayload::Error(e.to_string()),
+                            });
+                            return;
+                        }
+                    }
+                    folded = pieces.len();
                     send(WorkerMsg {
                         worker: wid,
                         work_done: done_work,
@@ -1347,7 +1345,6 @@ fn aggregate_worker_inner(
                         is_final: false,
                         payload: MsgPayload::Summary(acc.to_vec()),
                     });
-                    dirty = false;
                 } else {
                     // Nothing new merged this tick: heartbeat so the
                     // root's liveness sweep can tell slow from dead.
@@ -1388,22 +1385,20 @@ fn aggregate_worker_inner(
     // across thread counts, steal orders, and replays, even for
     // order-sensitive merges (Misra-Gries) and floating-point sums.
     pieces.sort_by_key(|&(p, lo, _)| (p, lo));
-    let mut final_acc = sketch.identity_bytes();
-    for (_, _, bytes) in &pieces {
-        match sketch.merge_bytes(&final_acc, bytes) {
-            Ok(merged) => final_acc = merged,
-            Err(e) => {
-                send(WorkerMsg {
-                    worker: wid,
-                    work_done: done_work,
-                    work_total: total_work,
-                    is_final: true,
-                    payload: MsgPayload::Error(e.to_string()),
-                });
-                return;
-            }
+    let ordered: Vec<&Bytes> = pieces.iter().map(|p| &p.2).collect();
+    let final_acc = match sketch.fold_bytes(&ordered) {
+        Ok(merged) => merged,
+        Err(e) => {
+            send(WorkerMsg {
+                worker: wid,
+                work_done: done_work,
+                work_total: total_work,
+                is_final: true,
+                payload: MsgPayload::Error(e.to_string()),
+            });
+            return;
         }
-    }
+    };
 
     // Cache only complete summaries: a tree cancelled mid-flight (user
     // cancel or a sibling worker's failure) leaves the fold partial, and

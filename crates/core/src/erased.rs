@@ -30,8 +30,10 @@ pub trait ErasedSketch: Send + Sync + 'static {
     /// True when the sketch honours bounded scopes; the leaf executor only
     /// fans a partition into sub-range tasks for splittable sketches.
     fn splittable(&self) -> bool;
-    /// Merge two wire-encoded summaries.
-    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes>;
+    /// Fold wire-encoded summaries with the sketch's merge, in the given
+    /// order, starting from its identity: each piece is decoded once, the
+    /// typed summaries merge left to right, and the result is encoded once.
+    fn fold_bytes(&self, pieces: &[&Bytes]) -> EngineResult<Bytes>;
     /// The identity summary, wire-encoded.
     fn identity_bytes(&self) -> Bytes;
     /// The sketch's cacheable parameter identity
@@ -64,11 +66,14 @@ impl<S: Sketch> ErasedSketch for Erased<S> {
         self.0.splittable()
     }
 
-    fn merge_bytes(&self, a: &Bytes, b: &Bytes) -> EngineResult<Bytes> {
+    fn fold_bytes(&self, pieces: &[&Bytes]) -> EngineResult<Bytes> {
         use hillview_sketch::Summary as _;
-        let sa = S::Summary::from_bytes(a.clone()).map_err(EngineError::from)?;
-        let sb = S::Summary::from_bytes(b.clone()).map_err(EngineError::from)?;
-        Ok(sa.merge(&sb).to_bytes())
+        let mut acc = self.0.identity();
+        for &piece in pieces {
+            let s = S::Summary::from_bytes(piece.clone()).map_err(EngineError::from)?;
+            acc = acc.merge(&s);
+        }
+        Ok(acc.to_bytes())
     }
 
     fn identity_bytes(&self) -> Bytes {
@@ -109,8 +114,8 @@ mod tests {
         let e = erase(CountSketch::rows());
         let a = e.summarize_to_bytes(&view(), &Scope::default(), 0).unwrap();
         let b = e.summarize_to_bytes(&view(), &Scope::default(), 0).unwrap();
-        let merged = e.merge_bytes(&a, &b).unwrap();
-        let s = CountSummary::from_bytes(merged).unwrap();
+        let folded = e.fold_bytes(&[&a, &b]).unwrap();
+        let s = CountSummary::from_bytes(folded).unwrap();
         assert_eq!(s.rows, 20);
     }
 
@@ -118,15 +123,44 @@ mod tests {
     fn identity_is_merge_unit_through_bytes() {
         let e = erase(CountSketch::rows());
         let a = e.summarize_to_bytes(&view(), &Scope::default(), 0).unwrap();
-        let m = e.merge_bytes(&a, &e.identity_bytes()).unwrap();
-        assert_eq!(m, a);
+        assert_eq!(e.fold_bytes(&[]).unwrap(), e.identity_bytes());
+        assert_eq!(e.fold_bytes(&[&a, &e.identity_bytes()]).unwrap(), a);
+    }
+
+    /// A typed fold is bit-identical to folding pairwise through the wire
+    /// (decode, merge and re-encode at every step) from the identity.
+    #[test]
+    fn fold_matches_pairwise_merges() {
+        use hillview_sketch::moments::{MomentsSketch, MomentsSummary};
+        use hillview_sketch::Summary as _;
+        let sk = MomentsSketch::new("X", 3);
+        let e = erase(sk.clone());
+        let v = view();
+        let pieces: Vec<Bytes> = [(0, 3), (3, 7), (7, 10)]
+            .iter()
+            .map(|&rows| {
+                let scope = Scope {
+                    rows: Some(rows),
+                    filter: None,
+                };
+                e.summarize_to_bytes(&v, &scope, 0).unwrap()
+            })
+            .collect();
+        let mut acc = sk.identity().to_bytes();
+        for p in &pieces {
+            let a = MomentsSummary::from_bytes(acc).unwrap();
+            let b = MomentsSummary::from_bytes(p.clone()).unwrap();
+            acc = a.merge(&b).to_bytes();
+        }
+        let refs: Vec<&Bytes> = pieces.iter().collect();
+        assert_eq!(e.fold_bytes(&refs).unwrap(), acc);
     }
 
     #[test]
     fn corrupt_bytes_error_cleanly() {
         let e = erase(CountSketch::rows());
         let bad = Bytes::from_static(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
-        assert!(e.merge_bytes(&bad, &e.identity_bytes()).is_err());
+        assert!(e.fold_bytes(&[&e.identity_bytes(), &bad]).is_err());
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub struct OpStats {
     /// Messages the root received.
     pub root_messages: u64,
     /// Time until the first partial visualization, if any arrived.
+    /// Render phase only: preparation trees never set it, even when they
+    /// deliver partials, so it times the first partial of the chart the
+    /// user asked for (offset by the preparation time before it).
     pub first_partial: Option<Duration>,
     /// Partial updates delivered to the client.
     pub partials: usize,
@@ -66,6 +69,17 @@ impl OpStats {
         self.root_messages += o.root_messages;
         self.partials += o.partials;
         self.trees += 1;
+    }
+
+    /// Carry a preparation phase's counts into this operation: time,
+    /// bytes, messages, partials and trees. `first_partial` stays render
+    /// phase only.
+    fn add_preparation(&mut self, prep: &OpStats) {
+        self.duration += prep.duration;
+        self.root_bytes += prep.root_bytes;
+        self.root_messages += prep.root_messages;
+        self.partials += prep.partials;
+        self.trees += prep.trees;
     }
 }
 
@@ -205,9 +219,7 @@ impl Spreadsheet {
     ) -> EngineResult<(TablePage, OpStats)> {
         let mut stats = OpStats::default();
         let (count, s0) = self.row_count()?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.add_preparation(&s0);
 
         let viz = TableViewViz::new(SortOrder::ascending(columns), rows);
         let (q, o1) = self.engine.run(
@@ -259,9 +271,7 @@ impl Spreadsheet {
     ) -> EngineResult<(BarChart, CdfRendering, OpStats)> {
         let mut stats = OpStats::default();
         let (range, s0) = self.range_of(column)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.add_preparation(&s0);
 
         let mut viz = HistogramViz::new(column, self.display);
         if let Some(b) = buckets {
@@ -287,9 +297,7 @@ impl Spreadsheet {
     pub fn string_histogram(&self, column: &str) -> EngineResult<(BarChart, OpStats)> {
         let mut stats = OpStats::default();
         let (bk, s0) = self.string_quantiles(column)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.add_preparation(&s0);
 
         let viz = HistogramViz::new(column, self.display).exact();
         let sketch = viz.prepare_strings(&bk)?;
@@ -308,13 +316,9 @@ impl Spreadsheet {
     ) -> EngineResult<(StackedRendering, CdfRendering, OpStats)> {
         let mut stats = OpStats::default();
         let (rx, s0) = self.range_of(col_x)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.add_preparation(&s0);
         let (y_info, s1) = self.axis_info(col_y)?;
-        stats.duration += s1.duration;
-        stats.root_bytes += s1.root_bytes;
-        stats.trees += s1.trees;
+        stats.add_preparation(&s1);
 
         let viz = StackedViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&AxisInfo::Numeric(rx.clone()), &y_info, rx.present)?;
@@ -337,17 +341,11 @@ impl Spreadsheet {
     pub fn heatmap(&self, col_x: &str, col_y: &str) -> EngineResult<(ColorGrid, OpStats)> {
         let mut stats = OpStats::default();
         let (x_info, s0) = self.axis_info(col_x)?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.add_preparation(&s0);
         let (y_info, s1) = self.axis_info(col_y)?;
-        stats.duration += s1.duration;
-        stats.root_bytes += s1.root_bytes;
-        stats.trees += s1.trees;
+        stats.add_preparation(&s1);
         let (count, s2) = self.row_count()?;
-        stats.duration += s2.duration;
-        stats.root_bytes += s2.root_bytes;
-        stats.trees += s2.trees;
+        stats.add_preparation(&s2);
 
         let viz = HeatmapViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&x_info, &y_info, count)?;
@@ -372,9 +370,7 @@ impl Spreadsheet {
         let (y_info, s2) = self.axis_info(col_y)?;
         let (count, s3) = self.row_count()?;
         for s in [&s0, &s1, &s2, &s3] {
-            stats.duration += s.duration;
-            stats.root_bytes += s.root_bytes;
-            stats.trees += s.trees;
+            stats.add_preparation(s);
         }
         let viz = TrellisViz::new(col_w, col_x, col_y, self.display, groups);
         let sketch = viz.prepare(&w_info, &x_info, &y_info, count)?;
@@ -393,9 +389,7 @@ impl Spreadsheet {
         }
         let (bk, s2) = self.string_quantiles(column)?;
         let mut stats = stats;
-        stats.duration += s2.duration;
-        stats.root_bytes += s2.root_bytes;
-        stats.trees += s2.trees;
+        stats.add_preparation(&s2);
         Ok((AxisInfo::Strings(bk), stats))
     }
 
@@ -411,9 +405,7 @@ impl Spreadsheet {
     ) -> EngineResult<(HeavyHittersRendering, OpStats)> {
         let mut stats = OpStats::default();
         let (count, s0) = self.row_count()?;
-        stats.duration += s0.duration;
-        stats.root_bytes += s0.root_bytes;
-        stats.trees += s0.trees;
+        stats.add_preparation(&s0);
 
         let viz = HeavyHittersViz::sampling(column, k);
         let sketch = viz.prepare_sampling(count);
@@ -511,9 +503,14 @@ mod tests {
     use crate::dataset::{FnSource, SourceRegistry};
     use hillview_columnar::udf::UdfRegistry;
     use hillview_data::{generate_flights, FlightsConfig};
+    use hillview_sketch::nextk::NextKSketch;
     use hillview_storage::partition_table;
 
     fn sheet() -> Spreadsheet {
+        sheet_with(ClusterConfig::test())
+    }
+
+    fn sheet_with(cfg: ClusterConfig) -> Spreadsheet {
         let mut sources = SourceRegistry::new();
         sources.register(Arc::new(FnSource::new("flights", |w, n, mp, snap| {
             let t = generate_flights(&FlightsConfig::new(8_000, snap ^ w as u64));
@@ -522,9 +519,20 @@ mod tests {
         })));
         let mut udfs = UdfRegistry::with_builtins();
         udfs.register_ratio("Speed", "Distance", "AirTime");
-        let cluster = Cluster::new(ClusterConfig::test(), sources, udfs);
+        let cluster = Cluster::new(cfg, sources, udfs);
         let engine = Arc::new(Engine::new(cluster));
         Spreadsheet::open(engine, "flights", 1, DisplaySpec::new(200, 100)).unwrap()
+    }
+
+    /// A batch interval far beyond any test query: no partial frame or
+    /// heartbeat fires, so every tree's root traffic is exactly one final
+    /// frame per worker.
+    fn quiet_sheet() -> Spreadsheet {
+        sheet_with(ClusterConfig {
+            batch_interval: Duration::from_secs(60),
+            worker_timeout: Duration::from_secs(600),
+            ..ClusterConfig::test()
+        })
     }
 
     #[test]
@@ -565,6 +573,95 @@ mod tests {
         let (page, stats) = s.scroll_to(&["Distance"], 50, 5).unwrap();
         assert!(!page.rows.is_empty());
         assert!(stats.trees >= 2, "quantile + next-items trees");
+    }
+
+    #[test]
+    fn scroll_to_counts_the_messages_of_all_three_trees() {
+        let s = quiet_sheet();
+        let workers = s.engine.cluster().num_workers() as u64;
+        s.set_seed(11);
+        let (_, stats) = s.scroll_to(&["Distance"], 50, 5).unwrap();
+        assert_eq!(stats.trees, 3, "row count, quantile, page");
+
+        // The same three trees, one by one.
+        s.set_seed(11);
+        let (count, s0) = s.row_count().unwrap();
+        let viz = TableViewViz::new(SortOrder::ascending(&["Distance"]), 5);
+        let (q, o1) = s
+            .engine
+            .run(
+                s.dataset,
+                viz.scrollbar_quantile(count),
+                &s.opts(s.next_seed()),
+            )
+            .unwrap();
+        let start = q.quantile(viz.pixel_to_quantile(50));
+        let (_, o2) = s
+            .engine
+            .run(s.dataset, viz.page_after(start), &s.opts(0))
+            .unwrap();
+        let trees = [s0.root_messages, o1.root_messages, o2.root_messages];
+        assert_eq!(trees, [workers; 3], "one final frame per worker per tree");
+        assert_eq!(stats.root_messages, trees.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn repeated_sort_view_hits_every_worker_cache() {
+        let s = sheet();
+        let cluster = s.engine.cluster().clone();
+        let stats = || -> Vec<_> {
+            (0..cluster.num_workers())
+                .map(|w| cluster.worker(w).cache_stats())
+                .collect()
+        };
+        let cols = ["Carrier", "DepDelay"];
+        let (first, _) = s.sort_view(&cols, 5).unwrap();
+        let before = stats();
+        let (again, _) = s.sort_view(&cols, 5).unwrap();
+        assert_eq!(first, again);
+        for (b, a) in before.iter().zip(stats()) {
+            assert_eq!(a.hits, b.hits + 1, "repeated page served from the cache");
+        }
+
+        // The identity ignores the seed...
+        let order = SortOrder::ascending(&cols);
+        let base = NextKSketch::first_page(order.clone(), 5);
+        let before = stats();
+        s.engine.run(s.dataset, base, &s.opts(0xABCD)).unwrap();
+        for (b, a) in before.iter().zip(stats()) {
+            assert_eq!(a.hits, b.hits + 1, "another seed still hits");
+        }
+
+        // ...but changing any one field that shapes the page misses.
+        let start = s
+            .engine
+            .run(
+                s.dataset,
+                NextKSketch::first_page(order.clone(), 1),
+                &s.opts(0),
+            )
+            .unwrap()
+            .0
+            .rows[0]
+            .0
+            .clone();
+        let variants = [
+            NextKSketch::first_page(
+                SortOrder::with_directions(&[("Carrier", false), ("DepDelay", true)]),
+                5,
+            ),
+            NextKSketch::first_page(order.clone(), 5).with_display(&["Origin"]),
+            NextKSketch::after(order.clone(), start, 5),
+            NextKSketch::first_page(order, 6),
+        ];
+        for (i, sk) in variants.into_iter().enumerate() {
+            let before = stats();
+            s.engine.run(s.dataset, sk, &s.opts(0)).unwrap();
+            for (b, a) in before.iter().zip(stats()) {
+                assert_eq!(a.hits, b.hits, "variant {i} must not hit");
+                assert_eq!(a.misses, b.misses + 1, "variant {i} computes");
+            }
+        }
     }
 
     #[test]

@@ -4,19 +4,31 @@
 //! spreadsheet given the current row shown at the top R (or R = ⊥ ...). We
 //! are also given a column sort order, and the number K of rows to show.
 //! This vizketch returns the contents of the K distinct rows that follow R
-//! in the sort order. The summarize function scans the dataset and keeps a
-//! priority heap with the K next values following row R ... The merge
-//! function combines the two priority heaps by selecting the smallest K
-//! elements and dropping the rest."*
+//! in the sort order."* Duplicate rows (equal sort keys) are aggregated with
+//! repetition counts (§3.3 "Aggregate duplicates and show repetition
+//! counts").
 //!
-//! Duplicate rows (equal sort keys) are aggregated with repetition counts
-//! (§3.3 "Aggregate duplicates and show repetition counts").
+//! **Summarize.** The leaf keeps the top K as a `Vec` of at most K
+//! distinct keys, ascending. Each selected row is ordered against keys
+//! straight from typed column storage
+//! ([`ResolvedSortOrder::cmp_row`](hillview_columnar::ResolvedSortOrder::cmp_row)):
+//! rows at or before the start key R are dropped, and so are rows after
+//! the current K-th key once K keys are held. A surviving row is located by
+//! binary search; a duplicate only bumps its count. A [`RowKey`] and its
+//! display [`Row`] are built only when a row enters the top K, evicting the
+//! largest key if that overflows K. Most rows of a large scan therefore cost
+//! one or two in-place comparisons and no allocation.
+//!
+//! **Merge.** Union the two key sets, add the counts of equal keys, keep
+//! the K smallest. This is a lattice with exact count addition, so any
+//! partitioning folds back to exactly the unpartitioned summary.
 
 use crate::traits::{Sketch, SketchResult, Summary};
 use crate::view::{Scope, TableView};
 use hillview_columnar::scan::scan_rows;
 use hillview_columnar::{Row, RowKey, SortOrder};
 use hillview_net::{Result as WireResult, Wire, WireReader, WireWriter};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -141,7 +153,7 @@ impl Sketch for NextKSketch {
         "next-items"
     }
 
-    /// The k-smallest-keys map is a lattice with exact duplicate-count
+    /// The k-smallest-keys set is a lattice with exact duplicate-count
     /// addition, so split partials fold back to exactly the unsplit
     /// summary.
     fn summarize_scoped(
@@ -158,39 +170,38 @@ impl Sketch for NextKSketch {
             .map(|c| table.schema().index_of(c))
             .collect::<Result<_, _>>()?;
 
-        // Bounded "heap": a BTreeMap of at most k+1 keys; evict the largest
-        // when over capacity, exactly the paper's priority-heap behaviour
-        // but with duplicate aggregation. Row enumeration is chunked so the
-        // per-row membership probe disappears on dense views.
-        let mut map: BTreeMap<RowKey, (Row, u64)> = BTreeMap::new();
+        let mut top: Vec<(RowKey, Row, u64)> = Vec::with_capacity(self.k.min(1024));
         let mut matched = 0u64;
         scope.scan(view, None, |sel| {
             scan_rows(sel, |row| {
-                let key = resolved.key(table, row);
                 if let Some(start) = &self.start {
-                    if key <= *start {
+                    if resolved.cmp_row(table, row, start) != Ordering::Greater {
                         return;
                     }
                 }
                 matched += 1;
-                // Skip rows beyond the current k-th smallest key, unless they
-                // duplicate an existing key.
-                if map.len() == self.k {
-                    let largest = map.keys().next_back().expect("non-empty");
-                    if key > *largest {
-                        return;
+                if top.len() == self.k {
+                    // k == 0 keeps nothing.
+                    let Some(last) = top.last_mut() else { return };
+                    match resolved.cmp_row(table, row, &last.0) {
+                        Ordering::Greater => return,
+                        Ordering::Equal => {
+                            last.2 += 1;
+                            return;
+                        }
+                        Ordering::Less => {}
                     }
                 }
-                match map.get_mut(&key) {
-                    Some((_, c)) => *c += 1,
-                    None => {
+                match top
+                    .binary_search_by(|(key, _, _)| resolved.cmp_row(table, row, key).reverse())
+                {
+                    Ok(i) => top[i].2 += 1,
+                    Err(i) => {
+                        let key = resolved.key(table, row);
                         let mut values = key.values().to_vec();
                         values.extend(display_idx.iter().map(|&c| table.column(c).value(row)));
-                        map.insert(key, (Row::new(values), 1));
-                        if map.len() > self.k {
-                            let largest = map.keys().next_back().expect("over capacity").clone();
-                            map.remove(&largest);
-                        }
+                        top.insert(i, (key, Row::new(values), 1));
+                        top.truncate(self.k);
                     }
                 }
             });
@@ -198,10 +209,7 @@ impl Sketch for NextKSketch {
         })?;
         Ok(NextKSummary {
             k: self.k,
-            rows: map
-                .into_iter()
-                .map(|(key, (row, count))| (key, row, count))
-                .collect(),
+            rows: top,
             matched,
         })
     }
@@ -212,6 +220,19 @@ impl Sketch for NextKSketch {
 
     fn identity(&self) -> NextKSummary {
         NextKSummary::zero(self.k)
+    }
+
+    /// A page is a pure function of the data (no sampling, no seed); the
+    /// bytes cover everything that shapes it: the order with its
+    /// directions, the display columns, the start key and `k`.
+    fn cache_identity(&self) -> Option<Vec<u8>> {
+        Some(
+            format!(
+                "{:?}|{:?}|{:?}|{}",
+                self.order, self.display, self.start, self.k
+            )
+            .into_bytes(),
+        )
     }
 }
 

@@ -278,9 +278,9 @@ proptest! {
         prop_assert_eq!(fused.population, filtered.len() as u64);
         let resolved = order.resolve(&table).unwrap();
         let want_keys: Vec<_> = sample.iter().map(|&r| resolved.key(&table, r)).collect();
-        prop_assert_eq!(&fused.keys, &want_keys);
+        prop_assert_eq!(&fused.keys(), &want_keys);
         prop_assert_eq!(
-            summarize_split(&qs, &v, &Scope { rows: None, filter: Some(&p) }, grain, seed).unwrap().keys,
+            summarize_split(&qs, &v, &Scope { rows: None, filter: Some(&p) }, grain, seed).unwrap().keys(),
             want_keys
         );
     }

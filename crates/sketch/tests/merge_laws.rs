@@ -176,9 +176,23 @@ proptest! {
         check_exact_sketch(&DistinctSketch::new("C"), Arc::new(t), c1, c2)?;
     }
 
+    /// With and without a start key: the start is some row's own key (or
+    /// none), so the page begins strictly after a value present in the data.
     #[test]
-    fn nextk_merge_laws(t in table_strategy(), c1 in 0usize..200, c2 in 0usize..200) {
-        let sk = NextKSketch::first_page(SortOrder::ascending(&["C", "X"]), 7);
+    fn nextk_merge_laws(
+        t in table_strategy(),
+        c1 in 0usize..200,
+        c2 in 0usize..200,
+        start_row in (any::<bool>(), any::<usize>()),
+    ) {
+        let order = SortOrder::ascending(&["C", "X"]);
+        let sk = match start_row {
+            (false, _) => NextKSketch::first_page(order, 7),
+            (true, r) => {
+                let key = order.resolve(&t).unwrap().key(&t, r % t.num_rows());
+                NextKSketch::after(order, key, 7)
+            }
+        };
         check_exact_sketch(&sk, Arc::new(t), c1, c2)?;
     }
 
@@ -277,7 +291,7 @@ proptest! {
         let direct = sk.summarize(&whole, 7).unwrap();
         let s: Vec<_> = parts.iter().map(|p| sk.summarize(p, 7).unwrap()).collect();
         let sorted_keys = |sm: &hillview_sketch::quantile::QuantileSummary| {
-            let mut keys = sm.keys.clone();
+            let mut keys = sm.keys();
             keys.sort();
             keys
         };
@@ -329,6 +343,24 @@ proptest! {
                     .any(|(val, _)| val.to_string() == v);
                 prop_assert!(found, "heavy item {} (count {}) missing", v, count);
             }
+        }
+    }
+
+    /// Flipping any bit of a quantile encoding gives a structured error or a
+    /// summary that survives its own round trip — never a panic.
+    #[test]
+    fn quantile_bit_flips_decode_structurally(t in table_strategy(), flip in any::<usize>()) {
+        use hillview_net::Wire;
+        use hillview_sketch::quantile::QuantileSummary;
+        let v = TableView::full(Arc::new(t));
+        let q = QuantileSketch::new(SortOrder::with_directions(&[("C", true), ("X", false)]), 1.0, 32)
+            .summarize(&v, 0)
+            .unwrap();
+        let mut bytes = q.to_bytes().to_vec();
+        let bit = flip % (bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(decoded) = QuantileSummary::from_bytes(bytes.into()) {
+            prop_assert_eq!(QuantileSummary::from_bytes(decoded.to_bytes()).unwrap(), decoded);
         }
     }
 

@@ -236,6 +236,9 @@ proptest! {
         );
     }
 
+    /// The in-place comparator against the materialized-key reference:
+    /// random per-column directions over Category, Int and the nullable
+    /// Double column, starting after a member row's key or at the top.
     #[test]
     fn nextk_matches_reference(
         t in table_strategy(),
@@ -243,11 +246,25 @@ proptest! {
         raw in proptest::collection::vec(any::<u32>(), 0..200),
         cuts in (0.0f64..1.0, 0.0f64..1.0),
         k in 1usize..8,
+        dirs in (any::<bool>(), any::<bool>(), any::<bool>()),
+        start_pick in (any::<bool>(), any::<usize>()),
     ) {
         let n = t.num_rows();
         let v = TableView::with_members(Arc::new(t), Arc::new(membership(kind, &raw, cuts, n)));
-        let sk = NextKSketch::first_page(SortOrder::ascending(&["C", "I"]), k)
-            .with_display(&["X"]);
+        let order = SortOrder::with_directions(&[("C", dirs.0), ("X", dirs.1), ("I", dirs.2)]);
+        let members: Vec<usize> = v.iter_rows().collect();
+        let start = match start_pick {
+            (true, i) if !members.is_empty() => {
+                let row = members[i % members.len()];
+                Some(order.resolve(v.table()).unwrap().key(v.table(), row))
+            }
+            _ => None,
+        };
+        let sk = match start {
+            None => NextKSketch::first_page(order, k),
+            Some(key) => NextKSketch::after(order, key, k),
+        }
+        .with_display(&["X"]);
         prop_assert_eq!(
             sk.summarize(&v, 0).unwrap(),
             sk.summarize_rowwise(&v, 0).unwrap()
@@ -675,7 +692,7 @@ proptest! {
             let stride = naive.len().div_ceil(cap);
             naive = naive.into_iter().step_by(stride).collect();
         }
-        prop_assert_eq!(s.keys, naive);
+        prop_assert_eq!(s.keys(), naive);
         prop_assert_eq!(s.population, v.len() as u64);
     }
 }
