@@ -336,7 +336,7 @@ mod tests {
     use hillview_columnar::column::{Column, I64Column};
     use hillview_columnar::udf::UdfRegistry;
     use hillview_columnar::{ColumnKind, Table};
-    use hillview_core::dataset::{FnSource, SourceRegistry, SourceSpec};
+    use hillview_core::dataset::{FnSource, Lineage, SourceRegistry, SourceSpec};
     use hillview_core::ClusterConfig;
 
     fn setup() -> (Arc<Cluster>, DatasetId) {
@@ -356,11 +356,13 @@ mod tests {
         })));
         let c = Cluster::new(ClusterConfig::test(), sources, UdfRegistry::new());
         let ds = DatasetId(1);
-        c.load(
+        c.derive(
             ds,
-            &SourceSpec {
-                source: Arc::from("nums"),
-                snapshot: 0,
+            &Lineage::Loaded {
+                spec: SourceSpec {
+                    source: Arc::from("nums"),
+                    snapshot: 0,
+                },
             },
         )
         .unwrap();

@@ -19,7 +19,7 @@ use criterion::Criterion;
 use hillview_columnar::column::{Column, DictColumn, I64Column};
 use hillview_columnar::udf::UdfRegistry;
 use hillview_columnar::{ColumnKind, NullMask, Table};
-use hillview_core::dataset::{FnSource, SourceRegistry, SourceSpec};
+use hillview_core::dataset::{FnSource, Lineage, SourceRegistry, SourceSpec};
 use hillview_core::erased::{erase, ErasedSketch};
 use hillview_core::{Cluster, ClusterConfig, DatasetId, QueryOptions};
 use hillview_sketch::buckets::BucketSpec;
@@ -111,11 +111,13 @@ fn cluster(threads: usize, packed: bool) -> (Arc<Cluster>, DatasetId) {
     };
     let c = Cluster::new(cfg, sources, UdfRegistry::new());
     let ds = DatasetId(1);
-    c.load(
+    c.derive(
         ds,
-        &SourceSpec {
-            source: Arc::from("flights1m"),
-            snapshot: 0,
+        &Lineage::Loaded {
+            spec: SourceSpec {
+                source: Arc::from("flights1m"),
+                snapshot: 0,
+            },
         },
     )
     .unwrap();

@@ -1332,6 +1332,7 @@ fn canon_leaf(p: &Predicate, table: Option<&Table>) -> Canon {
 /// FNV-1a over a byte slice, continuing from `state` — the same hash the
 /// engine uses for wire checksums; collisions only cost a cache miss here
 /// because the full key is compared on lookup.
+#[inline]
 pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     let mut h = state;
     for &b in bytes {

@@ -29,7 +29,7 @@
 //! is reported in row-weighted work units per completed sub-task.
 
 use crate::cache::{CacheKey, CacheStats, Lookup};
-use crate::dataset::{DatasetId, SourceRegistry, SourceSpec};
+use crate::dataset::{DatasetId, Lineage, SourceRegistry};
 use crate::erased::ErasedSketch;
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{self, FaultAction, FaultPlan, FaultSite};
@@ -227,37 +227,56 @@ struct WorkerMsg {
 
 enum MsgPayload {
     Summary(Vec<u8>),
-    DatasetMissing(u64),
-    WorkerDown,
-    Error(String),
     /// Liveness beacon: sent on every batch tick with no new merge so the
     /// root's `worker_timeout` sweep can tell "slow" from "dead".
     Heartbeat,
+    Failure(Failure),
+}
+
+/// Why an aggregation node gave up; the root rebuilds the structured
+/// [`EngineError`] with [`Failure::into_error`].
+enum Failure {
+    DatasetMissing(u64),
+    WorkerDown,
+    Error(String),
     /// A leaf task (or the aggregation node itself) panicked; carries the
-    /// panic message so the root rebuilds a structured
-    /// [`EngineError::LeafPanicked`].
+    /// panic message.
     LeafPanicked(String),
 }
 
-/// FNV-1a over a frame body. Root-link frames carry this checksum so a
-/// corrupted frame (fault injection or a real flaky transport) is
-/// *detected* and dropped instead of silently merging garbage — a single
-/// flipped bit inside summary bytes would otherwise decode fine and skew
-/// the result.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xCBF29CE484222325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001B3);
+impl Failure {
+    /// The node-side form of a leaf error. Panics stay structured end to
+    /// end; every other error travels as its message.
+    fn of(e: EngineError) -> Self {
+        match e {
+            EngineError::LeafPanicked { message, .. } => Failure::LeafPanicked(message),
+            other => Failure::Error(other.to_string()),
+        }
     }
-    h
+
+    /// The root-side error this failure reports for `worker`.
+    fn into_error(self, worker: usize) -> EngineError {
+        match self {
+            Failure::DatasetMissing(d) => EngineError::DatasetMissing {
+                worker,
+                dataset: DatasetId(d),
+            },
+            Failure::WorkerDown => EngineError::WorkerDown(worker),
+            Failure::Error(e) => EngineError::Sketch(e),
+            Failure::LeafPanicked(message) => EngineError::LeafPanicked { worker, message },
+        }
+    }
 }
 
+// Root-link frames carry an FNV-1a checksum of their body so a corrupted
+// frame (fault injection or a real flaky transport) is *detected* and
+// dropped instead of silently merging garbage — a single flipped bit
+// inside summary bytes would otherwise decode fine and skew the result.
 impl WorkerMsg {
     fn encode(&self) -> Bytes {
         let body = self.encode_body();
         let mut framed = WireWriter::new();
-        framed.put_varint(fnv1a(&body));
+        framed.put_varint(fnv_mix(FNV_OFFSET, &body));
         framed.put_bytes(&body);
         framed.finish()
     }
@@ -273,17 +292,17 @@ impl WorkerMsg {
                 w.put_u8(0);
                 w.put_bytes(b);
             }
-            MsgPayload::DatasetMissing(d) => {
+            MsgPayload::Failure(Failure::DatasetMissing(d)) => {
                 w.put_u8(1);
                 w.put_varint(*d);
             }
-            MsgPayload::WorkerDown => w.put_u8(2),
-            MsgPayload::Error(e) => {
+            MsgPayload::Failure(Failure::WorkerDown) => w.put_u8(2),
+            MsgPayload::Failure(Failure::Error(e)) => {
                 w.put_u8(3);
                 w.put_str(e);
             }
             MsgPayload::Heartbeat => w.put_u8(4),
-            MsgPayload::LeafPanicked(m) => {
+            MsgPayload::Failure(Failure::LeafPanicked(m)) => {
                 w.put_u8(5);
                 w.put_str(m);
             }
@@ -295,7 +314,7 @@ impl WorkerMsg {
         let mut r = WireReader::new(bytes);
         let sum = r.get_varint()?;
         let body = r.get_bytes()?;
-        if fnv1a(&body) != sum {
+        if fnv_mix(FNV_OFFSET, &body) != sum {
             return Err(EngineError::Wire("WorkerMsg checksum mismatch".into()));
         }
         let mut r = WireReader::new(Bytes::from(body));
@@ -305,11 +324,11 @@ impl WorkerMsg {
         let is_final = r.get_u8()? != 0;
         let payload = match r.get_u8()? {
             0 => MsgPayload::Summary(r.get_bytes()?),
-            1 => MsgPayload::DatasetMissing(r.get_varint()?),
-            2 => MsgPayload::WorkerDown,
-            3 => MsgPayload::Error(r.get_str()?),
+            1 => MsgPayload::Failure(Failure::DatasetMissing(r.get_varint()?)),
+            2 => MsgPayload::Failure(Failure::WorkerDown),
+            3 => MsgPayload::Failure(Failure::Error(r.get_str()?)),
             4 => MsgPayload::Heartbeat,
-            5 => MsgPayload::LeafPanicked(r.get_str()?),
+            5 => MsgPayload::Failure(Failure::LeafPanicked(r.get_str()?)),
             tag => {
                 return Err(EngineError::Wire(format!("bad WorkerMsg tag {tag}")));
             }
@@ -321,6 +340,129 @@ impl WorkerMsg {
             is_final,
             payload,
         })
+    }
+}
+
+/// An aggregation node's end of the root link: every message it sends
+/// names its worker and the node's total work (`0` until known).
+struct RootLink<'a> {
+    worker: u32,
+    work_total: u64,
+    tx: &'a LinkSender,
+}
+
+impl RootLink<'_> {
+    fn send(&self, work_done: u64, is_final: bool, payload: MsgPayload) {
+        let msg = WorkerMsg {
+            worker: self.worker,
+            work_done,
+            work_total: self.work_total,
+            is_final,
+            payload,
+        };
+        let _ = self.tx.send(msg.encode());
+    }
+
+    /// The node's final frame: it gives up with `failure`.
+    fn fail(&self, work_done: u64, failure: Failure) {
+        self.send(work_done, true, MsgPayload::Failure(failure));
+    }
+}
+
+/// The root's state for one execution tree: each worker's latest summary
+/// and progress, and the single failure transition every failure path —
+/// failure frames, the liveness sweep, channel disconnect — goes through.
+struct RootState {
+    tolerate: bool,
+    latest: Vec<Option<Bytes>>,
+    done: Vec<u64>,
+    total: Vec<u64>,
+    /// A worker is *resolved* once its contribution is settled: final
+    /// summary received, or (tolerate mode) failure accepted and the
+    /// worker excluded from the fold.
+    resolved: Vec<bool>,
+    final_seen: Vec<bool>,
+    resolved_count: usize,
+    failed_workers: Vec<usize>,
+    error: Option<EngineError>,
+}
+
+impl RootState {
+    fn new(n: usize, tolerate: bool) -> Self {
+        RootState {
+            tolerate,
+            latest: vec![None; n],
+            done: vec![0; n],
+            total: vec![0; n],
+            resolved: vec![false; n],
+            final_seen: vec![false; n],
+            resolved_count: 0,
+            failed_workers: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// True while some worker is unresolved and no error ended the tree.
+    fn running(&self) -> bool {
+        self.resolved_count < self.resolved.len() && self.error.is_none()
+    }
+
+    /// Worker `w` failed with `e`. Tolerating failures, the worker is
+    /// excluded from the fold; otherwise the first error ends the tree.
+    fn fail(&mut self, w: usize, e: EngineError) {
+        if !self.tolerate {
+            self.error.get_or_insert(e);
+        } else if !self.resolved[w] {
+            self.resolved[w] = true;
+            self.latest[w] = None;
+            self.failed_workers.push(w);
+            self.resolved_count += 1;
+        }
+    }
+
+    /// Declare every unresolved worker `w` with `down(w)` down.
+    fn fail_unresolved(&mut self, down: impl Fn(usize) -> bool) {
+        for w in 0..self.resolved.len() {
+            if !self.resolved[w] && down(w) {
+                self.fail(w, EngineError::WorkerDown(w));
+            }
+        }
+    }
+
+    /// The share of the estimated total work that `part(worker, estimate)`
+    /// sums to, in `[0, 1]`. A worker that has not reported a work total
+    /// yet is estimated at the mean of those that have, so neither early
+    /// progress nor the coverage of a degraded result is overstated.
+    fn share(&self, part: impl Fn(usize, f64) -> f64) -> f64 {
+        let reported: Vec<u64> = self.total.iter().copied().filter(|&t| t > 0).collect();
+        let mean = (reported.iter().sum::<u64>() as f64 / reported.len().max(1) as f64).max(1.0);
+        let est: Vec<f64> = self
+            .total
+            .iter()
+            .map(|&t| if t == 0 { mean } else { t as f64 })
+            .collect();
+        let total: f64 = est.iter().sum();
+        let part: f64 = est.iter().enumerate().map(|(w, &e)| part(w, e)).sum();
+        if total == 0.0 {
+            0.0
+        } else {
+            (part / total).clamp(0.0, 1.0)
+        }
+    }
+
+    /// Progressive-progress fraction: work done over estimated work.
+    fn progress(&self) -> f64 {
+        self.share(|w, _| self.done[w] as f64)
+    }
+
+    /// Fraction of the estimated work the final fold covers: `1.0` unless
+    /// failed workers were excluded.
+    fn coverage(&self) -> f64 {
+        if self.failed_workers.is_empty() {
+            1.0
+        } else {
+            self.share(|w, est| if self.final_seen[w] { est } else { 0.0 })
+        }
     }
 }
 
@@ -497,17 +639,20 @@ impl Cluster {
         est
     }
 
-    /// Execute a dataset-producing operation on every worker in parallel.
-    fn on_all_workers(
-        &self,
-        f: impl Fn(&Arc<Worker>) -> EngineResult<()> + Send + Sync,
-    ) -> EngineResult<()> {
+    /// Materialize `id` on every worker, in parallel, as its redo-log
+    /// record `lineage` describes ([`Worker::derive`]). The first failing
+    /// worker's error wins; a panicking worker op maps to a structured,
+    /// retryable [`EngineError::LeafPanicked`] instead of taking the root
+    /// down with it.
+    pub fn derive(&self, id: DatasetId, lineage: &Lineage) -> EngineResult<()> {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self.workers.iter().map(|w| scope.spawn(|| f(w))).collect();
+            let handles: Vec<_> = self
+                .workers
+                .iter()
+                .map(|w| scope.spawn(|| w.derive(id, lineage)))
+                .collect();
             let mut result = Ok(());
             for (worker, h) in handles.into_iter().enumerate() {
-                // A panicking worker op must not take the root down with
-                // it: map the panic into a structured, retryable error.
                 let r = h.join().unwrap_or_else(|payload| {
                     Err(EngineError::LeafPanicked {
                         worker,
@@ -522,53 +667,9 @@ impl Cluster {
         })
     }
 
-    /// Load a dataset on every worker.
-    pub fn load(&self, id: DatasetId, spec: &SourceSpec) -> EngineResult<()> {
-        self.on_all_workers(|w| w.load(id, spec))
-    }
-
-    /// Load on one worker only (lineage replay).
-    pub fn load_on(&self, worker: usize, id: DatasetId, spec: &SourceSpec) -> EngineResult<()> {
-        self.workers[worker].load(id, spec)
-    }
-
-    /// Filter a dataset on every worker.
-    pub fn filter(&self, id: DatasetId, parent: DatasetId, p: &Predicate) -> EngineResult<()> {
-        self.on_all_workers(|w| w.filter(id, parent, p))
-    }
-
-    /// Filter on one worker only (lineage replay).
-    pub fn filter_on(
-        &self,
-        worker: usize,
-        id: DatasetId,
-        parent: DatasetId,
-        p: &Predicate,
-    ) -> EngineResult<()> {
-        self.workers[worker].filter(id, parent, p)
-    }
-
-    /// Map a dataset on every worker.
-    pub fn map(
-        &self,
-        id: DatasetId,
-        parent: DatasetId,
-        udf: &str,
-        new_column: &str,
-    ) -> EngineResult<()> {
-        self.on_all_workers(|w| w.map(id, parent, udf, new_column))
-    }
-
-    /// Map on one worker only (lineage replay).
-    pub fn map_on(
-        &self,
-        worker: usize,
-        id: DatasetId,
-        parent: DatasetId,
-        udf: &str,
-        new_column: &str,
-    ) -> EngineResult<()> {
-        self.workers[worker].map(id, parent, udf, new_column)
+    /// Materialize `id` on one worker only (lineage replay).
+    pub fn derive_on(&self, worker: usize, id: DatasetId, lineage: &Lineage) -> EngineResult<()> {
+        self.workers[worker].derive(id, lineage)
     }
 
     /// Run an erased sketch over `dataset` as one execution tree.
@@ -662,55 +763,17 @@ impl Cluster {
 
         // Root merge loop.
         let n = self.workers.len();
-        let mut latest: Vec<Option<Bytes>> = vec![None; n];
-        let mut done = vec![0u64; n];
-        let mut total = vec![0u64; n];
-        // A worker is *resolved* once its contribution is settled: final
-        // summary received, or (tolerate mode) failure accepted and the
-        // worker excluded from the fold.
-        let mut resolved = vec![false; n];
-        let mut final_seen = vec![false; n];
-        let mut resolved_count = 0usize;
-        let mut failed_workers: Vec<usize> = Vec::new();
+        let mut root = RootState::new(n, opts.tolerate_failures);
         let mut last_heard: Vec<Instant> = vec![Instant::now(); n];
         let mut first_partial = None;
         let mut partials = 0usize;
-        let mut error: Option<EngineError> = None;
-        let tolerate = opts.tolerate_failures;
-
-        // The single failure transition, shared by explicit failure
-        // frames, the liveness sweep, and channel disconnect. Free
-        // function (not a closure) so call sites can hold other borrows.
-        #[allow(clippy::too_many_arguments)]
-        fn fail_worker(
-            w: usize,
-            e: EngineError,
-            tolerate: bool,
-            resolved: &mut [bool],
-            latest: &mut [Option<Bytes>],
-            failed_workers: &mut Vec<usize>,
-            resolved_count: &mut usize,
-            error: &mut Option<EngineError>,
-        ) {
-            if tolerate {
-                if !resolved[w] {
-                    resolved[w] = true;
-                    latest[w] = None;
-                    failed_workers.push(w);
-                    *resolved_count += 1;
-                }
-            } else if error.is_none() {
-                *error = Some(e);
-            }
-        }
-
-        while resolved_count < n && error.is_none() {
+        while root.running() {
             if opts.cancel.is_cancelled() {
                 break;
             }
             if let Some(d) = opts.deadline {
                 if started.elapsed() > d {
-                    error = Some(EngineError::DeadlineExceeded {
+                    root.error = Some(EngineError::DeadlineExceeded {
                         elapsed: started.elapsed(),
                     });
                     break;
@@ -721,20 +784,7 @@ impl Cluster {
             // could starve): a worker silent past `worker_timeout` —
             // aggregation nodes heartbeat every batch tick even when no
             // leaf has finished — is declared down.
-            for w in 0..n {
-                if !resolved[w] && last_heard[w].elapsed() > self.cfg.worker_timeout {
-                    fail_worker(
-                        w,
-                        EngineError::WorkerDown(w),
-                        tolerate,
-                        &mut resolved,
-                        &mut latest,
-                        &mut failed_workers,
-                        &mut resolved_count,
-                        &mut error,
-                    );
-                }
-            }
+            root.fail_unresolved(|w| last_heard[w].elapsed() > self.cfg.worker_timeout);
             let frame = match rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(Some(f)) => f,
                 Ok(None) => continue,
@@ -743,20 +793,7 @@ impl Cluster {
                     // worker died without shipping a final frame (its
                     // thread panicked past all guards, or its finale was
                     // lost) — this must break the loop, never hang.
-                    for w in 0..n {
-                        if !resolved[w] {
-                            fail_worker(
-                                w,
-                                EngineError::WorkerDown(w),
-                                tolerate,
-                                &mut resolved,
-                                &mut latest,
-                                &mut failed_workers,
-                                &mut resolved_count,
-                                &mut error,
-                            );
-                        }
-                    }
+                    root.fail_unresolved(|_| true);
                     break;
                 }
             };
@@ -771,108 +808,51 @@ impl Cluster {
             };
             let w = msg.worker as usize;
             last_heard[w] = Instant::now();
-            if resolved[w] {
+            if root.resolved[w] {
                 // Duplicate final or frames racing a failure verdict.
                 continue;
             }
             match msg.payload {
                 MsgPayload::Summary(bytes) => {
-                    latest[w] = Some(Bytes::from(bytes));
-                    done[w] = msg.work_done;
-                    total[w] = msg.work_total;
+                    root.latest[w] = Some(Bytes::from(bytes));
+                    root.done[w] = msg.work_done;
+                    root.total[w] = msg.work_total;
                     if msg.is_final {
-                        final_seen[w] = true;
-                        resolved[w] = true;
-                        resolved_count += 1;
+                        root.final_seen[w] = true;
+                        root.resolved[w] = true;
+                        root.resolved_count += 1;
                     }
-                    // Progressive delivery to the client.
-                    if let Some(cb) = &opts.on_partial {
-                        let merged = self.fold(sketch, &latest)?;
-                        // Workers that have not reported yet contribute an
-                        // estimated work total (the mean of reporting
-                        // workers) so early progress is not overstated.
-                        let reported: Vec<u64> = total.iter().copied().filter(|&t| t > 0).collect();
-                        let mean = (reported.iter().sum::<u64>() as f64
-                            / reported.len().max(1) as f64)
-                            .max(1.0);
-                        let total_work: f64 = total
-                            .iter()
-                            .map(|&t| if t == 0 { mean } else { t as f64 })
-                            .sum();
-                        let fraction = if total_work == 0.0 {
-                            0.0
-                        } else {
-                            (done.iter().sum::<u64>() as f64 / total_work).min(1.0)
-                        };
-                        if first_partial.is_none() {
-                            first_partial = Some(started.elapsed());
+                    // Progressive delivery to the client. A failing fold
+                    // ends the tree like any other root error: through
+                    // the teardown below, never by returning past it.
+                    let Some(cb) = &opts.on_partial else {
+                        first_partial.get_or_insert(started.elapsed());
+                        continue;
+                    };
+                    match self.fold(sketch, &root.latest) {
+                        Ok(summary) => {
+                            first_partial.get_or_insert(started.elapsed());
+                            partials += 1;
+                            cb(&Partial {
+                                fraction: root.progress(),
+                                work_done: root.done.iter().sum(),
+                                work_total: root.total.iter().sum(),
+                                summary,
+                            });
                         }
-                        partials += 1;
-                        cb(&Partial {
-                            fraction,
-                            work_done: done.iter().sum(),
-                            work_total: total.iter().sum(),
-                            summary: merged,
-                        });
-                    } else if first_partial.is_none() {
-                        first_partial = Some(started.elapsed());
+                        Err(e) => root.error = Some(e),
                     }
                 }
                 MsgPayload::Heartbeat => {
-                    done[w] = msg.work_done;
-                    total[w] = msg.work_total;
+                    root.done[w] = msg.work_done;
+                    root.total[w] = msg.work_total;
                 }
-                MsgPayload::DatasetMissing(d) => fail_worker(
-                    w,
-                    EngineError::DatasetMissing {
-                        worker: w,
-                        dataset: DatasetId(d),
-                    },
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
-                MsgPayload::WorkerDown => fail_worker(
-                    w,
-                    EngineError::WorkerDown(w),
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
-                MsgPayload::LeafPanicked(m) => fail_worker(
-                    w,
-                    EngineError::LeafPanicked {
-                        worker: w,
-                        message: m,
-                    },
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
-                MsgPayload::Error(e) => fail_worker(
-                    w,
-                    EngineError::Sketch(e),
-                    tolerate,
-                    &mut resolved,
-                    &mut latest,
-                    &mut failed_workers,
-                    &mut resolved_count,
-                    &mut error,
-                ),
+                MsgPayload::Failure(f) => root.fail(w, f.into_error(w)),
             }
         }
 
         // Stop outstanding work, then release aggregator threads.
-        if error.is_some() || opts.cancel.is_cancelled() || !failed_workers.is_empty() {
+        if root.error.is_some() || opts.cancel.is_cancelled() || !root.failed_workers.is_empty() {
             tree_cancel.cancel();
         }
         let root_bytes = rx.metrics().bytes();
@@ -881,46 +861,23 @@ impl Cluster {
         for a in aggregators {
             let _ = a.join();
         }
-        if let Some(e) = error {
+        if let Some(e) = root.error {
             return Err(e);
         }
 
         // Degraded-mode accounting. Zero survivors is not a result.
-        if !failed_workers.is_empty() && failed_workers.len() == n {
-            return Err(EngineError::WorkerDown(failed_workers[0]));
+        if !root.failed_workers.is_empty() && root.failed_workers.len() == n {
+            return Err(EngineError::WorkerDown(root.failed_workers[0]));
         }
-        let coverage = if failed_workers.is_empty() {
-            1.0
-        } else {
-            // Same estimation the progress fraction uses: a worker that
-            // never reported a work total contributes the mean of those
-            // that did, so coverage is not overstated by silent failures.
-            let reported: Vec<u64> = total.iter().copied().filter(|&t| t > 0).collect();
-            let mean =
-                (reported.iter().sum::<u64>() as f64 / reported.len().max(1) as f64).max(1.0);
-            let est: Vec<f64> = total
-                .iter()
-                .map(|&t| if t == 0 { mean } else { t as f64 })
-                .collect();
-            let covered: f64 = (0..n).filter(|&w| final_seen[w]).map(|w| est[w]).sum();
-            let total_est: f64 = est.iter().sum();
-            if total_est == 0.0 {
-                0.0
-            } else {
-                (covered / total_est).clamp(0.0, 1.0)
-            }
-        };
-
-        let merged = self.fold(sketch, &latest)?;
         Ok(QueryOutcome {
-            bytes: merged,
+            bytes: self.fold(sketch, &root.latest)?,
             duration: started.elapsed(),
             root_bytes,
             root_messages,
             first_partial,
             partials,
-            coverage,
-            failed_workers,
+            coverage: root.coverage(),
+            failed_workers: root.failed_workers,
         })
     }
 
@@ -1057,10 +1014,6 @@ fn run_leaf_task(
     });
 }
 
-/// The aggregation-node body for one worker (paper Fig. 1): fan leaf tasks
-/// (splitting oversized partitions into sub-range tasks), merge
-/// completions, ship batched partials to the root.
-///
 /// 128-bit query identity for the sketch-result cache: two independent
 /// FNV-1a streams over (stream tag, sketch name, 0, cache-identity bytes).
 /// Two streams because 64 bits of FNV over arbitrary parameter encodings
@@ -1076,6 +1029,10 @@ fn query_hash(name: &str, identity: &[u8]) -> [u64; 2] {
     out
 }
 
+/// The aggregation-node body for one worker (paper Fig. 1): fan leaf tasks
+/// (splitting oversized partitions into sub-range tasks), merge
+/// completions, ship batched partials to the root.
+///
 /// This wrapper is the node's crash barrier: if the body itself panics the
 /// root still receives a final frame carrying the panic message, so the
 /// merge loop terminates with a structured error instead of waiting out
@@ -1094,7 +1051,11 @@ fn aggregate_worker(
     query: Option<[u64; 2]>,
     grain: usize,
 ) {
-    let wid = worker.id as u32;
+    let mut link = RootLink {
+        worker: worker.id as u32,
+        work_total: 0,
+        tx: &tx,
+    };
     if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         aggregate_worker_inner(
             &worker,
@@ -1104,20 +1065,13 @@ fn aggregate_worker(
             seed,
             cancel,
             tree_cancel,
-            &tx,
+            &mut link,
             batch,
             query,
             grain,
         );
     })) {
-        let msg = WorkerMsg {
-            worker: wid,
-            work_done: 0,
-            work_total: 0,
-            is_final: true,
-            payload: MsgPayload::LeafPanicked(fault::panic_message(payload)),
-        };
-        let _ = tx.send(msg.encode());
+        link.fail(0, Failure::LeafPanicked(fault::panic_message(payload)));
     }
 }
 
@@ -1130,60 +1084,31 @@ fn aggregate_worker_inner(
     seed: u64,
     cancel: CancellationToken,
     tree_cancel: CancellationToken,
-    tx: &LinkSender,
+    link: &mut RootLink<'_>,
     batch: Duration,
     query: Option<[u64; 2]>,
     grain: usize,
 ) {
-    let wid = worker.id as u32;
-    let send = |msg: WorkerMsg| {
-        let _ = tx.send(msg.encode());
-    };
-
     // Fault-injection point for "the worker fails *mid-query*": a Kill or
     // Evict decided here happens after the root committed to this tree.
-    worker.fault_op(Some(dataset));
+    worker.fault_op(dataset);
 
     if !worker.is_alive() {
-        send(WorkerMsg {
-            worker: wid,
-            work_done: 0,
-            work_total: 0,
-            is_final: true,
-            payload: MsgPayload::WorkerDown,
-        });
-        return;
+        return link.fail(0, Failure::WorkerDown);
     }
-
-    let views = match worker.partitions(dataset) {
-        Some(v) => v,
-        None => {
-            send(WorkerMsg {
-                worker: wid,
-                work_done: 0,
-                work_total: 0,
-                is_final: true,
-                payload: MsgPayload::DatasetMissing(dataset.0),
-            });
-            return;
-        }
+    let Some(views) = worker.partitions(dataset) else {
+        return link.fail(0, Failure::DatasetMissing(dataset.0));
     };
-
     if views.is_empty() {
-        send(WorkerMsg {
-            worker: wid,
-            work_done: 0,
-            work_total: 0,
-            is_final: true,
-            payload: MsgPayload::Summary(sketch.identity_bytes().to_vec()),
-        });
-        return;
+        let identity = sketch.identity_bytes().to_vec();
+        return link.send(0, true, MsgPayload::Summary(identity));
     }
 
     // Work units: selected rows plus one per partition (the +1 keeps empty
     // partitions observable). Split halves conserve their weight exactly,
     // so completion is "reported work == precomputed total".
     let total_work: u64 = views.iter().map(|v| v.len() as u64 + 1).sum();
+    link.work_total = total_work;
 
     // Sketch-result cache (paper §5.4), keyed structurally: the dataset's
     // lineage version — with the fused predicate's *canonical* bytes
@@ -1220,14 +1145,7 @@ fn aggregate_worker_inner(
                     if waited {
                         cache.note_coalesced();
                     }
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: total_work,
-                        work_total: total_work,
-                        is_final: true,
-                        payload: MsgPayload::Summary(hit.to_vec()),
-                    });
-                    return;
+                    return link.send(total_work, true, MsgPayload::Summary(hit.to_vec()));
                 }
                 Lookup::Miss(guard) => {
                     flight = Some(guard);
@@ -1238,13 +1156,7 @@ fn aggregate_worker_inner(
                         break;
                     }
                     waited = true;
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: 0,
-                        work_total: total_work,
-                        is_final: false,
-                        payload: MsgPayload::Heartbeat,
-                    });
+                    link.send(0, false, MsgPayload::Heartbeat);
                     cache.wait(&key, batch);
                 }
             }
@@ -1300,24 +1212,7 @@ fn aggregate_worker_inner(
                     Ok(Some(bytes)) => pieces.push((msg.partition, msg.lo, bytes)),
                     // Cancelled piece: counts as completed-with-nothing.
                     Ok(None) => skipped += 1,
-                    Err(e) => {
-                        // Keep panics structured end-to-end: the root
-                        // rebuilds `LeafPanicked` from its own tag.
-                        let payload = match e {
-                            EngineError::LeafPanicked { message, .. } => {
-                                MsgPayload::LeafPanicked(message)
-                            }
-                            other => MsgPayload::Error(other.to_string()),
-                        };
-                        send(WorkerMsg {
-                            worker: wid,
-                            work_done: done_work,
-                            work_total: total_work,
-                            is_final: true,
-                            payload,
-                        });
-                        return;
-                    }
+                    Err(e) => return link.fail(done_work, Failure::of(e)),
                 }
                 done_work += msg.work;
             }
@@ -1326,35 +1221,14 @@ fn aggregate_worker_inner(
                     let fresh = std::iter::once(&acc).chain(pieces[folded..].iter().map(|p| &p.2));
                     match sketch.fold_bytes(&fresh.collect::<Vec<_>>()) {
                         Ok(merged) => acc = merged,
-                        Err(e) => {
-                            send(WorkerMsg {
-                                worker: wid,
-                                work_done: done_work,
-                                work_total: total_work,
-                                is_final: true,
-                                payload: MsgPayload::Error(e.to_string()),
-                            });
-                            return;
-                        }
+                        Err(e) => return link.fail(done_work, Failure::of(e)),
                     }
                     folded = pieces.len();
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: done_work,
-                        work_total: total_work,
-                        is_final: false,
-                        payload: MsgPayload::Summary(acc.to_vec()),
-                    });
+                    link.send(done_work, false, MsgPayload::Summary(acc.to_vec()));
                 } else {
                     // Nothing new merged this tick: heartbeat so the
                     // root's liveness sweep can tell slow from dead.
-                    send(WorkerMsg {
-                        worker: wid,
-                        work_done: done_work,
-                        work_total: total_work,
-                        is_final: false,
-                        payload: MsgPayload::Heartbeat,
-                    });
+                    link.send(done_work, false, MsgPayload::Heartbeat);
                 }
             }
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
@@ -1367,16 +1241,13 @@ fn aggregate_worker_inner(
     // not the piece's weight). Folding the surviving pieces would
     // silently drop rows; report the loss instead.
     if done_work < total_work {
-        send(WorkerMsg {
-            worker: wid,
-            work_done: done_work,
-            work_total: total_work,
-            is_final: true,
-            payload: MsgPayload::LeafPanicked(format!(
+        let wid = link.worker;
+        return link.fail(
+            done_work,
+            Failure::LeafPanicked(format!(
                 "leaf completions lost on worker {wid}: {done_work}/{total_work} work units reported"
             )),
-        });
-        return;
+        );
     }
 
     // Deterministic final fold: partials sorted by (partition, range
@@ -1388,16 +1259,7 @@ fn aggregate_worker_inner(
     let ordered: Vec<&Bytes> = pieces.iter().map(|p| &p.2).collect();
     let final_acc = match sketch.fold_bytes(&ordered) {
         Ok(merged) => merged,
-        Err(e) => {
-            send(WorkerMsg {
-                worker: wid,
-                work_done: done_work,
-                work_total: total_work,
-                is_final: true,
-                payload: MsgPayload::Error(e.to_string()),
-            });
-            return;
-        }
+        Err(e) => return link.fail(done_work, Failure::of(e)),
     };
 
     // Cache only complete summaries: a tree cancelled mid-flight (user
@@ -1411,19 +1273,13 @@ fn aggregate_worker_inner(
             guard.complete(final_acc.clone());
         }
     }
-    send(WorkerMsg {
-        worker: wid,
-        work_done: done_work,
-        work_total: total_work,
-        is_final: true,
-        payload: MsgPayload::Summary(final_acc.to_vec()),
-    });
+    link.send(done_work, true, MsgPayload::Summary(final_acc.to_vec()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::FnSource;
+    use crate::dataset::{FnSource, SourceSpec};
     use crate::erased::erase;
     use hillview_columnar::column::{Column, I64Column};
     use hillview_columnar::{ColumnKind, Table};
@@ -1453,11 +1309,13 @@ mod tests {
 
     fn load(c: &Cluster) -> DatasetId {
         let id = DatasetId(1);
-        c.load(
+        c.derive(
             id,
-            &SourceSpec {
-                source: Arc::from("nums"),
-                snapshot: 0,
+            &Lineage::Loaded {
+                spec: SourceSpec {
+                    source: Arc::from("nums"),
+                    snapshot: 0,
+                },
             },
         )
         .unwrap();
@@ -1581,15 +1439,17 @@ mod tests {
         let opts = QueryOptions::default();
         let _ = c.run_erased(ds, &erase(CountSketch::rows()), &opts);
         c.worker(0).restart();
-        c.worker(0)
-            .load(
-                ds,
-                &SourceSpec {
+        c.derive_on(
+            0,
+            ds,
+            &Lineage::Loaded {
+                spec: SourceSpec {
                     source: Arc::from("nums"),
                     snapshot: 0,
                 },
-            )
-            .unwrap();
+            },
+        )
+        .unwrap();
         let outcome = c
             .run_erased(ds, &erase(CountSketch::rows()), &opts)
             .unwrap();
@@ -1660,11 +1520,13 @@ mod tests {
 
     fn load_skewed(c: &Cluster) -> DatasetId {
         let id = DatasetId(1);
-        c.load(
+        c.derive(
             id,
-            &SourceSpec {
-                source: Arc::from("skewed"),
-                snapshot: 0,
+            &Lineage::Loaded {
+                spec: SourceSpec {
+                    source: Arc::from("skewed"),
+                    snapshot: 0,
+                },
             },
         )
         .unwrap();
@@ -1796,11 +1658,13 @@ mod tests {
             cfg.workers = workers;
             let c = Cluster::new(cfg, sources.clone(), UdfRegistry::new());
             let ds = DatasetId(5);
-            c.load(
+            c.derive(
                 ds,
-                &SourceSpec {
-                    source: Arc::from("span"),
-                    snapshot: 0,
+                &Lineage::Loaded {
+                    spec: SourceSpec {
+                        source: Arc::from("span"),
+                        snapshot: 0,
+                    },
                 },
             )
             .unwrap();
@@ -1825,7 +1689,14 @@ mod tests {
         let ds = load_skewed(&c);
         let pred = Predicate::range("X", 10.0, 60.0);
         let filtered = DatasetId(2);
-        c.filter(filtered, ds, &pred).unwrap();
+        c.derive(
+            filtered,
+            &Lineage::Filtered {
+                parent: ds,
+                predicate: pred.clone(),
+            },
+        )
+        .unwrap();
         let sketches: Vec<Arc<dyn crate::erased::ErasedSketch>> = vec![
             erase(CountSketch::rows()),
             erase(HistogramSketch::streaming(
@@ -1991,6 +1862,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn worker_msg_frame_matches_known_answer() {
+        // The root link's frame layout and checksum (FNV-1a 64 of the
+        // body) are pinned byte for byte: varint checksum, varint body
+        // length, then the body.
+        let msg = WorkerMsg {
+            worker: 1,
+            work_done: 300,
+            work_total: 301,
+            is_final: true,
+            payload: MsgPayload::Failure(Failure::Error("boom".into())),
+        };
+        let body: &[u8] = &[1, 172, 2, 173, 2, 1, 3, 4, b'b', b'o', b'o', b'm'];
+        assert_eq!(&msg.encode_body()[..], body);
+        assert_eq!(fnv_mix(FNV_OFFSET, body), 0x9503_b1c9_2a97_c4a8);
+        let mut frame = vec![168, 137, 223, 212, 146, 185, 236, 129, 149, 1, 12];
+        frame.extend_from_slice(body);
+        assert_eq!(&msg.encode()[..], &frame[..]);
+    }
+
+    /// Leaves sleep, then emit the piece `[1]`; a worker's fold of pieces
+    /// is `[2]`. Folding worker summaries alone — which only the root
+    /// does — fails.
+    struct RootFoldFails;
+
+    impl ErasedSketch for RootFoldFails {
+        fn name(&self) -> &'static str {
+            "root-fold-fails"
+        }
+        fn summarize_to_bytes(
+            &self,
+            _view: &hillview_sketch::TableView,
+            _scope: &Scope<'_>,
+            _seed: u64,
+        ) -> EngineResult<Bytes> {
+            std::thread::sleep(Duration::from_millis(20));
+            Ok(Bytes::from_static(&[1]))
+        }
+        fn splittable(&self) -> bool {
+            false
+        }
+        fn fold_bytes(&self, pieces: &[&Bytes]) -> EngineResult<Bytes> {
+            if pieces.iter().any(|p| p[..] == [1]) {
+                Ok(Bytes::from_static(&[2]))
+            } else if pieces.is_empty() {
+                Ok(self.identity_bytes())
+            } else {
+                Err(EngineError::Sketch("root fold failed".into()))
+            }
+        }
+        fn identity_bytes(&self) -> Bytes {
+            Bytes::from_static(&[0])
+        }
+        fn cache_identity(&self) -> Option<Vec<u8>> {
+            Some(Vec::new())
+        }
+    }
+
+    #[test]
+    fn failing_progressive_fold_tears_the_tree_down() {
+        // Any summary reaching the root fails its fold, so the error and
+        // the assertions below hold whatever the timing. The leaves' 20 ms
+        // (10 partitions per worker on 2 pool threads) only make a return
+        // before the tree is joined visible: the first partial arrives
+        // long before the last leaf starts.
+        let c = cluster(2);
+        let ds = load(&c);
+        let opts = QueryOptions {
+            on_partial: Some(Arc::new(|_: &Partial| {})),
+            ..Default::default()
+        };
+        let sk: Arc<dyn ErasedSketch> = Arc::new(RootFoldFails);
+        let e = c.run_erased(ds, &sk, &opts).unwrap_err();
+        assert_eq!(e, EngineError::Sketch("root fold failed".into()));
+        // Joined aggregation nodes have accounted for every leaf task
+        // (cancelled ones run as no-ops), so all 20 have started...
+        let leaf_tasks = || -> u64 { (0..2).map(|w| c.worker(w).leaf_tasks_executed()).sum() };
+        let insertions = || c.cache_stats().insertions;
+        assert_eq!(leaf_tasks(), 20, "returned before the tree was joined");
+        let before = insertions();
+        // ...and nothing of the tree runs after the call returned: no
+        // leaf starts, no flight guard completes into the cache.
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(leaf_tasks(), 20, "leaves started after the call returned");
+        assert_eq!(
+            insertions(),
+            before,
+            "a cache entry landed after the call returned"
+        );
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //!
 //! [`Engine`] wraps a [`Cluster`] with the root's durable state — the redo
 //! log and dataset-id allocator — and implements the paper's lazy recovery
-//! protocol (§5.7): when a worker reports a missing dataset, the root
-//! replays the lineage chain *on that worker only* and retries; when a
-//! worker is down, it is restarted stateless (§5.8) and the same replay
-//! path repopulates it on demand.
+//! protocol (§5.7). Every dataset-producing operation records a
+//! [`Lineage`] and materializes it with `derive(id, &Lineage)`; replay
+//! runs the same derivation from the same record on one worker. Queries
+//! and derivations share one bounded retry loop that owns the whole
+//! failure classification: when a worker reports a missing dataset, the
+//! root replays the lineage chain *on that worker only* and retries; when
+//! a worker is down, it is restarted stateless (§5.8) and the chain the
+//! operation reads is replayed onto it; other transient faults back off
+//! and retry.
 
 use crate::cluster::{Cluster, QueryOptions, QueryOutcome};
 use crate::dataset::{DatasetId, Lineage, SourceSpec};
@@ -94,8 +99,7 @@ pub struct Engine {
     /// Restart dead workers automatically during queries (on by default;
     /// tests can disable it to observe raw failures).
     pub auto_recover: bool,
-    /// Retry budget applied to every recovery loop (queries and
-    /// dataset-producing operations).
+    /// Retry budget of the retry loop every query and derivation runs in.
     pub retry: RetryPolicy,
 }
 
@@ -133,8 +137,7 @@ impl Engine {
             source: Arc::from(source),
             snapshot,
         };
-        self.log.record(id, Lineage::Loaded { spec: spec.clone() });
-        self.cluster.load(id, &spec)?;
+        self.derive(id, Lineage::Loaded { spec })?;
         Ok(id)
     }
 
@@ -161,8 +164,6 @@ impl Engine {
             source: spec.source,
             snapshot,
         };
-        self.log
-            .record(dataset, Lineage::Loaded { spec: spec.clone() });
         // Descendants materialized from the old snapshot are stale:
         // evict them everywhere so the ordinary missing-dataset replay
         // path rebuilds them against the new contents on demand.
@@ -173,7 +174,7 @@ impl Engine {
                 }
             }
         }
-        self.with_replay_on_all(|| self.cluster.load(dataset, &spec))
+        self.derive(dataset, Lineage::Loaded { spec })
     }
 
     /// Derive a filtered dataset; logged (paper §5.6 "Selection"). The
@@ -184,14 +185,7 @@ impl Engine {
     pub fn filter(&self, parent: DatasetId, predicate: Predicate) -> EngineResult<DatasetId> {
         self.ensure_materialized(parent)?;
         let id = self.fresh_id();
-        self.log.record(
-            id,
-            Lineage::Filtered {
-                parent,
-                predicate: predicate.clone(),
-            },
-        );
-        self.with_replay_on_all(|| self.cluster.filter(id, parent, &predicate))?;
+        self.derive(id, Lineage::Filtered { parent, predicate })?;
         Ok(id)
     }
 
@@ -233,16 +227,22 @@ impl Engine {
     pub fn map(&self, parent: DatasetId, udf: &str, new_column: &str) -> EngineResult<DatasetId> {
         self.ensure_materialized(parent)?;
         let id = self.fresh_id();
-        self.log.record(
-            id,
-            Lineage::Mapped {
-                parent,
-                udf: Arc::from(udf),
-                new_column: Arc::from(new_column),
-            },
-        );
-        self.with_replay_on_all(|| self.cluster.map(id, parent, udf, new_column))?;
+        let lineage = Lineage::Mapped {
+            parent,
+            udf: Arc::from(udf),
+            new_column: Arc::from(new_column),
+        };
+        self.derive(id, lineage)?;
         Ok(id)
+    }
+
+    /// Record `lineage` as `id`'s redo-log entry, then materialize it on
+    /// every worker within the retry loop. A re-run overwrites the same id
+    /// with identical contents, so retrying any transient failure —
+    /// including a replay that itself hits a fault — is sound.
+    fn derive(&self, id: DatasetId, lineage: Lineage) -> EngineResult<()> {
+        self.log.record(id, lineage.clone());
+        self.with_retries(lineage.parent(), || self.cluster.derive(id, &lineage))
     }
 
     /// Materialize the pending-filter chain ending at `dataset` (ancestors
@@ -262,8 +262,8 @@ impl Engine {
             }
             chain
         };
-        for (id, parent, pred) in chain.into_iter().rev() {
-            self.with_replay_on_all(|| self.cluster.filter(id, parent, &pred))?;
+        for (id, parent, predicate) in chain.into_iter().rev() {
+            self.derive(id, Lineage::Filtered { parent, predicate })?;
             self.pending_filters.lock().remove(&id);
         }
         Ok(())
@@ -353,56 +353,67 @@ impl Engine {
         Ok((root, Some(composed)))
     }
 
-    /// Run a dataset-producing op, replaying lineage on misses, within the
-    /// [`RetryPolicy`] budget. Dataset ops are idempotent (a re-run
-    /// overwrites the same dataset id with identical contents), so
-    /// retrying any transient failure — including a replay that itself
-    /// hits a fault — is sound.
-    fn with_replay_on_all(&self, f: impl Fn() -> EngineResult<()>) -> EngineResult<()> {
+    /// The one bounded retry loop, shared by queries and derivations: run
+    /// `attempt` until it succeeds, within the [`RetryPolicy`] budget,
+    /// classifying each failure:
+    ///
+    /// * [`EngineError::DatasetMissing`] — replay the missing dataset's
+    ///   lineage chain on the reporting worker;
+    /// * [`EngineError::WorkerDown`] — restart the worker stateless and
+    ///   replay the chain of `reads`, the dataset every attempt reads
+    ///   (`None` for a load, which reads only its source); without
+    ///   [`Engine::auto_recover`] a dead worker stays dead, so the failure
+    ///   is deterministic and surfaces raw;
+    /// * any other [retryable](EngineError::is_retryable) error — back off
+    ///   and retry; a non-retryable one returns at once.
+    ///
+    /// A replay can itself hit a fault (the worker is killed mid-replay):
+    /// a transient replay failure consumes the attempt instead of escaping
+    /// the loop. When the budget runs out the caller gets
+    /// [`EngineError::RetriesExhausted`] wrapping the last failure.
+    fn with_retries<T>(
+        &self,
+        reads: Option<DatasetId>,
+        mut attempt: impl FnMut() -> EngineResult<T>,
+    ) -> EngineResult<T> {
         let attempts = self.retry.attempts.max(1);
-        let mut last: Option<EngineError> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt));
-            }
-            let e = match f() {
-                Ok(()) => return Ok(()),
+        let mut made = 0;
+        loop {
+            let e = match attempt() {
+                Ok(v) => return Ok(v),
+                Err(e) if !e.is_retryable() => return Err(e),
                 Err(e) => e,
             };
-            match &e {
-                EngineError::DatasetMissing { worker, dataset } => {
-                    let (worker, dataset) = (*worker, *dataset);
-                    last = Some(e);
-                    if let Err(re) = self.replay(worker, dataset) {
-                        if !re.is_retryable() {
-                            return Err(re);
-                        }
-                        last = Some(re);
-                    }
-                }
+            let recovered = match e {
+                EngineError::DatasetMissing { worker, dataset } => self.replay(worker, dataset),
                 EngineError::WorkerDown(w) if self.auto_recover => {
-                    self.cluster.worker(*w).restart();
-                    last = Some(e);
+                    self.cluster.worker(w).restart();
+                    reads.map_or(Ok(()), |d| self.replay(w, d))
                 }
-                // Without auto-restart a dead worker stays dead: the
-                // failure is deterministic, so surface it raw.
                 EngineError::WorkerDown(_) => return Err(e),
-                _ if e.is_retryable() => last = Some(e),
-                _ => return Err(e),
+                _ => Ok(()),
+            };
+            let last = match recovered {
+                Err(re) if !re.is_retryable() => return Err(re),
+                Err(re) => re,
+                Ok(()) => e,
+            };
+            made += 1;
+            if made == attempts {
+                return Err(EngineError::RetriesExhausted {
+                    attempts,
+                    last: Box::new(last),
+                });
             }
+            std::thread::sleep(self.retry.backoff(made));
         }
-        Err(EngineError::RetriesExhausted {
-            attempts,
-            last: Box::new(
-                last.unwrap_or_else(|| EngineError::Sketch("replay did not converge".into())),
-            ),
-        })
     }
 
     /// Reconstruct `dataset` on `worker` by replaying its lineage chain
     /// (paper §5.7: "This may require re-executing other queries, that
     /// produced the source objects; the recursion ends when data is read
-    /// from disk").
+    /// from disk"). Each link runs the same derivation as when it was
+    /// first made, from the same redo-log record.
     pub fn replay(&self, worker: usize, dataset: DatasetId) -> EngineResult<()> {
         let chain = self.log.chain(dataset);
         if chain.is_empty() {
@@ -417,19 +428,8 @@ impl Engine {
             }
         }
         for (id, lineage) in chain {
-            if w.has_dataset(id) {
-                continue;
-            }
-            match lineage {
-                Lineage::Loaded { spec } => self.cluster.load_on(worker, id, &spec)?,
-                Lineage::Filtered { parent, predicate } => {
-                    self.cluster.filter_on(worker, id, parent, &predicate)?
-                }
-                Lineage::Mapped {
-                    parent,
-                    udf,
-                    new_column,
-                } => self.cluster.map_on(worker, id, parent, &udf, &new_column)?,
+            if !w.has_dataset(id) {
+                self.cluster.derive_on(worker, id, &lineage)?;
             }
         }
         Ok(())
@@ -505,10 +505,9 @@ impl Engine {
         self.run_planned(root, fused, sketch, opts)
     }
 
-    /// The retry/recovery loop shared by every query shape: run `sketch`
-    /// over `root` (a materialized dataset), optionally narrowed by a
-    /// fused predicate, replaying lineage and restarting workers per the
-    /// [`RetryPolicy`].
+    /// Run `sketch` over `root` (a materialized dataset), optionally
+    /// narrowed by a fused predicate, inside the retry loop; then, if the
+    /// budget ran out and the caller opted in, one degraded tree.
     fn run_planned(
         &self,
         root: DatasetId,
@@ -517,10 +516,8 @@ impl Engine {
         opts: &QueryOptions,
     ) -> EngineResult<QueryOutcome> {
         let started = std::time::Instant::now();
-        let attempts = self.retry.attempts.max(1);
-        let mut last: Option<EngineError> = None;
-        // Remaining deadline for the next attempt, or an error once spent.
-        let remaining = |started: std::time::Instant| -> EngineResult<Option<Duration>> {
+        // The deadline spans *all* attempts, not each one.
+        let remaining = || -> EngineResult<Option<Duration>> {
             match opts.deadline {
                 None => Ok(None),
                 Some(d) => d.checked_sub(started.elapsed()).map(Some).ok_or(
@@ -530,98 +527,42 @@ impl Engine {
                 ),
             }
         };
-        let finish = |mut outcome: QueryOutcome| {
-            let replay_overhead = started.elapsed().saturating_sub(outcome.duration);
-            outcome.first_partial = outcome.first_partial.map(|fp| fp + replay_overhead);
-            outcome.duration = started.elapsed();
-            outcome
-        };
-        for attempt in 0..attempts {
-            // A recovery retry must not inherit a cancel flag set by the
-            // failure path of the previous attempt.
-            if opts.cancel.is_cancelled() {
-                return Err(EngineError::Cancelled);
-            }
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt));
-            }
+        // One tree. The reported times cover the whole user-visible wait,
+        // earlier attempts and lineage replays included (cold reads show
+        // up here, Figure 6).
+        let tree = |deadline: Option<Duration>, tolerate_failures: bool| {
             let attempt_opts = QueryOptions {
-                seed: opts.seed,
-                cancel: opts.cancel.clone(),
-                on_partial: opts.on_partial.clone(),
-                cache: opts.cache,
-                deadline: remaining(started)?,
-                allow_degraded: opts.allow_degraded,
-                tolerate_failures: false,
-            };
-            let e =
-                match self
-                    .cluster
-                    .run_erased_filtered(root, fused.as_ref(), sketch, &attempt_opts)
-                {
-                    Ok(outcome) => return Ok(finish(outcome)),
-                    Err(e) => e,
-                };
-            match &e {
-                EngineError::DatasetMissing { worker, dataset: d } => {
-                    let (worker, d) = (*worker, *d);
-                    last = Some(e);
-                    // A replay can itself hit a fault (worker killed
-                    // mid-replay); transient replay failures consume an
-                    // attempt instead of escaping the retry loop raw.
-                    if let Err(re) = self.replay(worker, d) {
-                        if !re.is_retryable() {
-                            return Err(re);
-                        }
-                        last = Some(re);
-                    }
-                }
-                EngineError::WorkerDown(w) if self.auto_recover => {
-                    let w = *w;
-                    last = Some(e);
-                    self.cluster.worker(w).restart();
-                    if let Err(re) = self.replay(w, root) {
-                        if !re.is_retryable() {
-                            return Err(re);
-                        }
-                        last = Some(re);
-                    }
-                }
-                // Without auto-restart a dead worker stays dead: the
-                // failure is deterministic, so surface it raw.
-                EngineError::WorkerDown(_) => return Err(e),
-                _ if e.is_retryable() => last = Some(e),
-                _ => return Err(e),
-            }
-        }
-        let last =
-            last.unwrap_or_else(|| EngineError::Sketch("query recovery did not converge".into()));
-        // Opt-in graceful degradation: one last tree that tolerates
-        // worker failures and folds the survivors, honestly labelled.
-        if opts.allow_degraded {
-            let attempt_opts = QueryOptions {
-                seed: opts.seed,
-                cancel: opts.cancel.clone(),
-                on_partial: opts.on_partial.clone(),
+                deadline,
                 // Never cache on the degraded path: per-worker shard
                 // summaries of *survivors* would be sound, but a shared
                 // cache key must only ever hold complete folds.
-                cache: false,
-                deadline: remaining(started)?,
-                allow_degraded: true,
-                tolerate_failures: true,
+                cache: opts.cache && !tolerate_failures,
+                tolerate_failures,
+                ..opts.clone()
             };
-            if let Ok(outcome) =
+            let mut outcome =
                 self.cluster
-                    .run_erased_filtered(root, fused.as_ref(), sketch, &attempt_opts)
-            {
-                return Ok(finish(outcome));
+                    .run_erased_filtered(root, fused.as_ref(), sketch, &attempt_opts)?;
+            let replay_overhead = started.elapsed().saturating_sub(outcome.duration);
+            outcome.first_partial = outcome.first_partial.map(|fp| fp + replay_overhead);
+            outcome.duration = started.elapsed();
+            Ok(outcome)
+        };
+        let result = self.with_retries(Some(root), || {
+            // A cancelled query is not retried.
+            if opts.cancel.is_cancelled() {
+                return Err(EngineError::Cancelled);
             }
+            tree(remaining()?, false)
+        });
+        match result {
+            // Opt-in graceful degradation: one last tree that tolerates
+            // worker failures and folds the survivors, honestly labelled.
+            Err(exhausted @ EngineError::RetriesExhausted { .. }) if opts.allow_degraded => {
+                tree(remaining()?, true).or(Err(exhausted))
+            }
+            r => r,
         }
-        Err(EngineError::RetriesExhausted {
-            attempts,
-            last: Box::new(last),
-        })
     }
 }
 

@@ -37,9 +37,14 @@
 //!   sketch-result cache for deterministic summaries (§5.4), keyed by
 //!   structural query identity with single-flight coalescing.
 //! * **Fault tolerance** ([`redo`], [`engine`]): the root logs every
-//!   dataset-producing operation (with seeds); when a worker reports a
-//!   missing dataset — eviction or restart — the root lazily replays the
-//!   lineage and retries (§5.7–5.8).
+//!   dataset-producing operation as a [`Lineage`] record (with seeds), and
+//!   that record is the only description of the derivation: workers
+//!   materialize it with `derive(id, &Lineage)`, whether it is new or
+//!   being replayed. Queries and derivations share one bounded retry loop:
+//!   when a worker reports a missing dataset — eviction or restart — the
+//!   root lazily replays the lineage on that worker; a dead worker is
+//!   restarted and the chain the operation reads is replayed onto it;
+//!   other transient faults back off and retry (§5.7–5.8).
 //! * **Spreadsheet** ([`spreadsheet`]): the user-facing API — tabular
 //!   views, scrolling, filtering, charts, heavy hitters, PCA — implemented
 //!   exclusively with vizketches (§7.3: sketches are "the sole way to

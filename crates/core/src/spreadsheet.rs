@@ -23,6 +23,7 @@ use hillview_sketch::moments::MomentsSketch;
 use hillview_sketch::nextk::NextKSummary;
 use hillview_sketch::pca::{PcaSketch, PcaSummary};
 use hillview_sketch::range::{RangeSketch, RangeSummary};
+use hillview_sketch::Sketch;
 use hillview_viz::cdf::{CdfRendering, CdfViz};
 use hillview_viz::display::DisplaySpec;
 use hillview_viz::heatmap::{AxisInfo, HeatmapViz};
@@ -151,6 +152,19 @@ impl Spreadsheet {
         }
     }
 
+    /// Run one execution tree of this operation over the sheet's dataset
+    /// and add its traffic and timing to `stats`.
+    fn run<S: Sketch>(
+        &self,
+        sketch: S,
+        seed: u64,
+        stats: &mut OpStats,
+    ) -> EngineResult<S::Summary> {
+        let (summary, outcome) = self.engine.run(self.dataset, sketch, &self.opts(seed))?;
+        stats.absorb(&outcome);
+        Ok(summary)
+    }
+
     // -----------------------------------------------------------------
     // Preparation-phase helpers (cached, deterministic).
     // -----------------------------------------------------------------
@@ -158,30 +172,21 @@ impl Spreadsheet {
     /// Total rows (cached).
     pub fn row_count(&self) -> EngineResult<(u64, OpStats)> {
         let mut stats = OpStats::default();
-        let (sum, o) = self
-            .engine
-            .run(self.dataset, CountSketch::rows(), &self.opts(0))?;
-        stats.absorb(&o);
+        let sum = self.run(CountSketch::rows(), 0, &mut stats)?;
         Ok((sum.rows, stats))
     }
 
     /// Numeric range of a column (cached).
     pub fn range_of(&self, column: &str) -> EngineResult<(RangeSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (sum, o) = self
-            .engine
-            .run(self.dataset, RangeSketch::new(column), &self.opts(0))?;
-        stats.absorb(&o);
+        let sum = self.run(RangeSketch::new(column), 0, &mut stats)?;
         Ok((sum, stats))
     }
 
     /// Bottom-k distinct-string quantiles of a column (cached).
     pub fn string_quantiles(&self, column: &str) -> EngineResult<(BottomKSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (sum, o) =
-            self.engine
-                .run(self.dataset, BottomKSketch::new(column, 512), &self.opts(0))?;
-        stats.absorb(&o);
+        let sum = self.run(BottomKSketch::new(column, 512), 0, &mut stats)?;
         Ok((sum, stats))
     }
 
@@ -203,10 +208,7 @@ impl Spreadsheet {
     ) -> EngineResult<(TablePage, OpStats)> {
         let viz = TableViewViz::new(SortOrder::ascending(columns), rows);
         let mut stats = OpStats::default();
-        let (summary, o): (NextKSummary, _) =
-            self.engine
-                .run(self.dataset, viz.page_after(start), &self.opts(0))?;
-        stats.absorb(&o);
+        let summary: NextKSummary = self.run(viz.page_after(start), 0, &mut stats)?;
         Ok((viz.render(&summary), stats))
     }
 
@@ -222,17 +224,9 @@ impl Spreadsheet {
         stats.add_preparation(&s0);
 
         let viz = TableViewViz::new(SortOrder::ascending(columns), rows);
-        let (q, o1) = self.engine.run(
-            self.dataset,
-            viz.scrollbar_quantile(count),
-            &self.opts(self.next_seed()),
-        )?;
-        stats.absorb(&o1);
+        let q = self.run(viz.scrollbar_quantile(count), self.next_seed(), &mut stats)?;
         let start = q.quantile(viz.pixel_to_quantile(scrollbar_pixel));
-        let (summary, o2): (NextKSummary, _) =
-            self.engine
-                .run(self.dataset, viz.page_after(start), &self.opts(0))?;
-        stats.absorb(&o2);
+        let summary: NextKSummary = self.run(viz.page_after(start), 0, &mut stats)?;
         Ok((viz.render(&summary), stats))
     }
 
@@ -254,8 +248,7 @@ impl Spreadsheet {
             sketch = sketch.after(k);
         }
         let mut stats = OpStats::default();
-        let (sum, o) = self.engine.run(self.dataset, sketch, &self.opts(0))?;
-        stats.absorb(&o);
+        let sum = self.run(sketch, 0, &mut stats)?;
         Ok((sum, stats))
     }
 
@@ -278,18 +271,12 @@ impl Spreadsheet {
             viz = viz.with_buckets(b);
         }
         let sketch = viz.prepare_numeric(&range)?;
-        let (summary, o1) =
-            self.engine
-                .run(self.dataset, sketch.clone(), &self.opts(self.next_seed()))?;
-        stats.absorb(&o1);
+        let summary = self.run(sketch.clone(), self.next_seed(), &mut stats)?;
         let chart = viz.render(&sketch, &summary);
 
         let cdf_viz = CdfViz::new(column, self.display);
         let cdf_sketch = cdf_viz.prepare(&range)?;
-        let (cdf_summary, o2) =
-            self.engine
-                .run(self.dataset, cdf_sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o2);
+        let cdf_summary = self.run(cdf_sketch, self.next_seed(), &mut stats)?;
         Ok((chart, cdf_viz.render(&cdf_summary), stats))
     }
 
@@ -301,10 +288,7 @@ impl Spreadsheet {
 
         let viz = HistogramViz::new(column, self.display).exact();
         let sketch = viz.prepare_strings(&bk)?;
-        let (summary, o) =
-            self.engine
-                .run(self.dataset, sketch.clone(), &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.run(sketch.clone(), self.next_seed(), &mut stats)?;
         Ok((viz.render(&sketch, &summary), stats))
     }
 
@@ -322,18 +306,12 @@ impl Spreadsheet {
 
         let viz = StackedViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&AxisInfo::Numeric(rx.clone()), &y_info, rx.present)?;
-        let (summary, o1) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o1);
+        let summary = self.run(sketch, self.next_seed(), &mut stats)?;
         let rendering = viz.render(&summary);
 
         let cdf_viz = CdfViz::new(col_x, self.display);
         let cdf_sketch = cdf_viz.prepare(&rx)?;
-        let (cdf_summary, o2) =
-            self.engine
-                .run(self.dataset, cdf_sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o2);
+        let cdf_summary = self.run(cdf_sketch, self.next_seed(), &mut stats)?;
         Ok((rendering, cdf_viz.render(&cdf_summary), stats))
     }
 
@@ -349,10 +327,7 @@ impl Spreadsheet {
 
         let viz = HeatmapViz::new(col_x, col_y, self.display);
         let sketch = viz.prepare(&x_info, &y_info, count)?;
-        let (summary, o) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.run(sketch, self.next_seed(), &mut stats)?;
         Ok((viz.render(&summary), stats))
     }
 
@@ -374,10 +349,7 @@ impl Spreadsheet {
         }
         let viz = TrellisViz::new(col_w, col_x, col_y, self.display, groups);
         let sketch = viz.prepare(&w_info, &x_info, &y_info, count)?;
-        let (summary, o) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.run(sketch, self.next_seed(), &mut stats)?;
         Ok((viz.render(&summary), stats))
     }
 
@@ -409,10 +381,7 @@ impl Spreadsheet {
 
         let viz = HeavyHittersViz::sampling(column, k);
         let sketch = viz.prepare_sampling(count);
-        let (summary, o) = self
-            .engine
-            .run(self.dataset, sketch, &self.opts(self.next_seed()))?;
-        stats.absorb(&o);
+        let summary = self.run(sketch, self.next_seed(), &mut stats)?;
         Ok((viz.render_sampling(&summary, count), stats))
     }
 
@@ -424,22 +393,14 @@ impl Spreadsheet {
     ) -> EngineResult<(HeavyHittersRendering, OpStats)> {
         let viz = HeavyHittersViz::streaming(column, k);
         let mut stats = OpStats::default();
-        let (summary, o) = self.engine.run(
-            self.dataset,
-            MisraGriesSketch::new(column, k),
-            &self.opts(0),
-        )?;
-        stats.absorb(&o);
+        let summary = self.run(MisraGriesSketch::new(column, k), 0, &mut stats)?;
         Ok((viz.render_streaming(&summary), stats))
     }
 
     /// O9: approximate distinct count (HyperLogLog).
     pub fn distinct_count(&self, column: &str) -> EngineResult<(f64, OpStats)> {
         let mut stats = OpStats::default();
-        let (summary, o) =
-            self.engine
-                .run(self.dataset, DistinctSketch::new(column), &self.opts(0))?;
-        stats.absorb(&o);
+        let summary = self.run(DistinctSketch::new(column), 0, &mut stats)?;
         Ok((summary.estimate(), stats))
     }
 
@@ -450,22 +411,14 @@ impl Spreadsheet {
         k: usize,
     ) -> EngineResult<(hillview_sketch::moments::MomentsSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (summary, o) =
-            self.engine
-                .run(self.dataset, MomentsSketch::new(column, k), &self.opts(0))?;
-        stats.absorb(&o);
+        let summary = self.run(MomentsSketch::new(column, k), 0, &mut stats)?;
         Ok((summary, stats))
     }
 
     /// Principal component analysis over numeric columns (App. B.3).
     pub fn pca(&self, columns: &[&str], rate: f64) -> EngineResult<(PcaSummary, OpStats)> {
         let mut stats = OpStats::default();
-        let (summary, o) = self.engine.run(
-            self.dataset,
-            PcaSketch::new(columns, rate),
-            &self.opts(self.next_seed()),
-        )?;
-        stats.absorb(&o);
+        let summary = self.run(PcaSketch::new(columns, rate), self.next_seed(), &mut stats)?;
         Ok((summary, stats))
     }
 

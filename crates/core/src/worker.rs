@@ -7,14 +7,19 @@
 //! [`SketchCache`]). All of it is soft state (§5.7): `evict_all`/`kill`
 //! erase it, and the root reconstructs it by replaying lineage.
 //!
-//! Every materialized dataset carries a lineage-derived content *version*:
-//! loads hash the source spec, filters fold the parent version with the
-//! predicate's canonical bytes, maps fold the UDF and column names. The
-//! version is what makes cache keys structural — two queries share an
-//! entry exactly when their lineage proves identical contents.
+//! Datasets come into being through one entry point,
+//! [`Worker::derive`]`(id, &Lineage)`: the root's redo-log record is the
+//! only description of a load, filter or map, so a fresh derivation and a
+//! lineage replay run the same code. Every materialized dataset carries a
+//! content *version*, a pure function of its lineage record and its
+//! parent's version: loads hash the source spec, filters fold the parent
+//! version with the predicate's canonical bytes, maps fold the UDF and
+//! column names. The version is what makes cache keys structural — two
+//! queries share an entry exactly when their lineage proves identical
+//! contents.
 
 use crate::cache::{CacheStats, SketchCache};
-use crate::dataset::{DatasetId, SourceRegistry, SourceSpec};
+use crate::dataset::{DatasetId, Lineage, SourceRegistry, SourceSpec};
 use crate::error::{EngineError, EngineResult};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::pool::ThreadPool;
@@ -34,28 +39,34 @@ struct DatasetEntry {
     version: u64,
 }
 
-/// Content version of a loaded dataset: a pure function of the source
-/// spec, so a reload after eviction revalidates old cache entries.
-fn load_version(spec: &SourceSpec) -> u64 {
-    let h = fnv1a(FNV_OFFSET, b"load\0");
-    let h = fnv1a(h, spec.source.as_bytes());
-    fnv1a(h, &spec.snapshot.to_le_bytes())
-}
-
-/// Content version of a filtered dataset: the parent version chained with
+/// Content version of the dataset `lineage` derives, a pure function of
+/// the lineage record and the parent's version (`parent`; ignored for
+/// loads). A load hashes its source spec, so a reload after eviction
+/// revalidates old cache entries. A filter chains the parent version with
 /// the predicate's *canonical* bytes — And/Or order, double negation, and
-/// compiler-equivalent numeric bounds all collapse to one identity.
-fn filter_version(parent: u64, canonical_predicate: &[u8]) -> u64 {
-    let h = fnv1a(parent, b"filter\0");
-    fnv1a(h, canonical_predicate)
-}
-
-/// Content version of a mapped dataset.
-fn map_version(parent: u64, udf: &str, new_column: &str) -> u64 {
-    let h = fnv1a(parent, b"map\0");
-    let h = fnv1a(h, udf.as_bytes());
-    let h = fnv1a(h, &[0]);
-    fnv1a(h, new_column.as_bytes())
+/// compiler-equivalent numeric bounds all collapse to one identity; `table`
+/// is a parent table the predicate canonicalizes against. A map chains the
+/// UDF and the new column's name.
+fn content_version(lineage: &Lineage, parent: u64, table: Option<&Table>) -> u64 {
+    match lineage {
+        Lineage::Loaded { spec } => {
+            let h = fnv1a(FNV_OFFSET, b"load\0");
+            let h = fnv1a(h, spec.source.as_bytes());
+            fnv1a(h, &spec.snapshot.to_le_bytes())
+        }
+        Lineage::Filtered { predicate, .. } => {
+            let h = fnv1a(parent, b"filter\0");
+            fnv1a(h, &predicate.canonical_bytes(table))
+        }
+        Lineage::Mapped {
+            udf, new_column, ..
+        } => {
+            let h = fnv1a(parent, b"map\0");
+            let h = fnv1a(h, udf.as_bytes());
+            let h = fnv1a(h, &[0]);
+            fnv1a(h, new_column.as_bytes())
+        }
+    }
 }
 
 /// One simulated server.
@@ -144,12 +155,12 @@ impl Worker {
     }
 
     /// Fault-injection point at an engine-visible operation boundary
-    /// (load / filter / map / query fan-out). Consults the armed plan with
+    /// (a derivation or a query fan-out). Consults the armed plan with
     /// this worker's next operation index; a `Kill` decision crashes the
     /// worker, an `Evict` decision drops `dataset`'s soft state. Both then
     /// surface through the ordinary failure paths (`WorkerDown`,
     /// `DatasetMissing`) that recovery already handles.
-    pub(crate) fn fault_op(&self, dataset: Option<DatasetId>) {
+    pub(crate) fn fault_op(&self, dataset: DatasetId) {
         let Some(plan) = self.fault_plan() else {
             return;
         };
@@ -159,11 +170,7 @@ impl Worker {
             index,
         }) {
             Some(FaultAction::Kill) => self.kill(),
-            Some(FaultAction::Evict) => {
-                if let Some(ds) = dataset {
-                    self.evict(ds);
-                }
-            }
+            Some(FaultAction::Evict) => self.evict(dataset),
             _ => {}
         }
     }
@@ -251,19 +258,25 @@ impl Worker {
     }
 
     /// The content version a filter of `parent` by `predicate` would
-    /// carry — the exact version [`Worker::filter`] assigns, computed
+    /// carry — the exact version [`Worker::derive`] assigns, computed
     /// without materializing anything. Fused queries key their cache
     /// entries on it, so a canonically-equal predicate hits the same
     /// entry whether or not the membership was ever materialized under a
     /// different textual spelling.
     pub fn filtered_version(&self, parent: DatasetId, predicate: &Predicate) -> Option<u64> {
-        let (views, version) = {
-            let d = self.datasets.lock();
-            let e = d.get(&parent)?;
-            (e.views.clone(), e.version)
+        let (views, version) = self.entry(parent)?;
+        let lineage = Lineage::Filtered {
+            parent,
+            predicate: predicate.clone(),
         };
-        let table: Option<&Table> = views.first().map(|v| v.table().as_ref());
-        Some(filter_version(version, &predicate.canonical_bytes(table)))
+        let table = views.first().map(|v| v.table().as_ref());
+        Some(content_version(&lineage, version, table))
+    }
+
+    /// `id`'s partitions and content version, if materialized.
+    fn entry(&self, id: DatasetId) -> Option<(Arc<Vec<TableView>>, u64)> {
+        let d = self.datasets.lock();
+        d.get(&id).map(|e| (e.views.clone(), e.version))
     }
 
     /// Total rows across this worker's partitions of `id`.
@@ -343,106 +356,63 @@ impl Worker {
         }
     }
 
-    /// Materialize a loaded dataset from its source (the leaf of every
-    /// lineage chain; paper §5.7 "the recursion ends when data is read from
-    /// disk").
-    pub fn load(&self, id: DatasetId, spec: &SourceSpec) -> EngineResult<()> {
-        self.fault_op(Some(id));
+    /// Materialize `id` on this worker as its redo-log record `lineage`
+    /// describes — the one derivation entry point, used for fresh
+    /// derivations and lineage replay alike (paper §5.7).
+    ///
+    /// * A load reads this worker's partitions from the source (the leaf
+    ///   of every lineage chain: "the recursion ends when data is read
+    ///   from disk").
+    /// * A filter keeps the parent's tables and narrows each partition's
+    ///   membership with the block-wise predicate pipeline
+    ///   ([`hillview_columnar::predicate::filter_members`]): frame-word
+    ///   evaluation with zone-map block skipping, intersected word-wise
+    ///   with the parent membership (§5.6).
+    /// * A map adds a column computed by the named UDF to each
+    ///   partition's table (§5.6); it lives only in this soft state.
+    ///
+    /// A missing parent is [`EngineError::DatasetMissing`], which the
+    /// engine heals by replaying the parent's chain first.
+    pub fn derive(&self, id: DatasetId, lineage: &Lineage) -> EngineResult<()> {
+        self.fault_op(lineage.parent().unwrap_or(id));
         self.check_alive()?;
-        let source = self.sources.get(&spec.source)?;
-        let tables = source.load_with_cache(
-            self.id,
-            self.num_workers,
-            self.micropartition_rows,
-            spec.snapshot,
-            &self.block_cache,
-        )?;
-        let mut views = Vec::new();
-        for t in tables {
-            // Split oversized tables into micropartitions (paper §5.3) —
-            // except mapped tables: slicing decodes every value, which
-            // would fault the whole file in. They stay one partition and
-            // rely on intra-partition leaf splitting for parallelism.
-            if t.num_rows() > self.micropartition_rows && t.mapped_bytes() == 0 {
-                for part in hillview_storage::partition_table(&t, self.micropartition_rows) {
-                    views.push(TableView::full(Arc::new(part)));
-                }
-            } else {
-                views.push(TableView::full(Arc::new(t)));
-            }
-        }
-        let rows: usize = views.iter().map(|v| v.len()).sum();
-        let bytes: usize = views.iter().map(|v| v.table().heap_bytes()).sum();
-        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex below)
-        self.rows_loaded.fetch_add(rows as u64, Ordering::Relaxed);
-        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex below)
-        self.bytes_loaded.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.datasets.lock().insert(
-            id,
-            DatasetEntry {
-                views: Arc::new(views),
-                version: load_version(spec),
-            },
-        );
-        Ok(())
-    }
-
-    /// Materialize a filtered dataset: same tables, narrowed membership
-    /// sets (paper §5.6). Partitions are filtered in parallel on the pool;
-    /// each partition runs the block-wise predicate pipeline
-    /// ([`hillview_columnar::predicate::filter_members`]) — frame-word
-    /// evaluation with zone-map block skipping, intersected word-wise with
-    /// the parent membership, no per-row id materialization.
-    pub fn filter(
-        self: &Arc<Self>,
-        id: DatasetId,
-        parent: DatasetId,
-        predicate: &Predicate,
-    ) -> EngineResult<()> {
-        self.fault_op(Some(parent));
-        self.check_alive()?;
-        let version =
-            self.filtered_version(parent, predicate)
-                .ok_or(EngineError::DatasetMissing {
-                    worker: self.id,
-                    dataset: parent,
-                })?;
-        let parent_views = self.partitions(parent).ok_or(EngineError::DatasetMissing {
-            worker: self.id,
-            dataset: parent,
-        })?;
-        let n = parent_views.len();
-        let (tx, rx) = crossbeam::channel::bounded(n.max(1));
-        for (i, view) in parent_views.iter().enumerate() {
-            let view = view.clone();
-            let predicate = predicate.clone();
-            let tx = tx.clone();
-            self.pool.submit(move || {
-                let result = (|| -> EngineResult<TableView> {
+        let (views, version) = match lineage {
+            Lineage::Loaded { spec } => (self.load_views(spec)?, content_version(lineage, 0, None)),
+            Lineage::Filtered { parent, predicate } => {
+                let (parents, version) = self.parent_entry(*parent)?;
+                let table = parents.first().map(|v| v.table().as_ref());
+                let version = content_version(lineage, version, table);
+                let predicate = predicate.clone();
+                let views = self.derive_partitions(&parents, move |view| {
                     let members = filter_members(view.table(), &predicate, view.members())?;
                     Ok(TableView::with_members(
                         view.table().clone(),
                         Arc::new(members),
                     ))
-                })();
-                let _ = tx.send((i, result));
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<TableView>> = vec![None; n];
-        for _ in 0..n {
-            let (i, r) = rx.recv().map_err(|_| EngineError::WorkerDown(self.id))?;
-            out[i] = Some(r?);
-        }
-        let views: Vec<TableView> = out
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.ok_or_else(|| {
-                    EngineError::Internal(format!("filter produced no result for partition {i}"))
-                })
-            })
-            .collect::<EngineResult<_>>()?;
+                })?;
+                (views, version)
+            }
+            Lineage::Mapped {
+                parent,
+                udf,
+                new_column,
+            } => {
+                let (parents, version) = self.parent_entry(*parent)?;
+                let version = content_version(lineage, version, None);
+                let (udfs, udf, new_column) = (self.udfs.clone(), udf.clone(), new_column.clone());
+                let views = self.derive_partitions(&parents, move |view| {
+                    let col = udfs
+                        .materialize(&udf, view.table())
+                        .map_err(EngineError::from)?;
+                    let table = view.table().with_column(&new_column, col)?;
+                    Ok(TableView::with_members(
+                        Arc::new(table),
+                        view.members().clone(),
+                    ))
+                })?;
+                (views, version)
+            }
+        };
         self.datasets.lock().insert(
             id,
             DatasetEntry {
@@ -453,71 +423,79 @@ impl Worker {
         Ok(())
     }
 
-    /// Materialize a mapped dataset: each partition's table gains a derived
-    /// column computed by the named UDF (paper §5.6). The derived column
-    /// lives only in this soft state, recomputed on demand after eviction.
-    pub fn map(
-        self: &Arc<Self>,
-        id: DatasetId,
-        parent: DatasetId,
-        udf: &str,
-        new_column: &str,
-    ) -> EngineResult<()> {
-        self.fault_op(Some(parent));
-        self.check_alive()?;
-        let (parent_views, parent_version) = {
-            let d = self.datasets.lock();
-            let e = d.get(&parent).ok_or(EngineError::DatasetMissing {
-                worker: self.id,
-                dataset: parent,
-            })?;
-            (e.views.clone(), e.version)
-        };
-        let n = parent_views.len();
+    /// The parent a derivation reads, or the miss the engine replays.
+    fn parent_entry(&self, parent: DatasetId) -> EngineResult<(Arc<Vec<TableView>>, u64)> {
+        self.entry(parent).ok_or(EngineError::DatasetMissing {
+            worker: self.id,
+            dataset: parent,
+        })
+    }
+
+    /// This worker's partitions of a source snapshot, with oversized
+    /// tables split into micropartitions (paper §5.3) — except mapped
+    /// tables: slicing decodes every value, which would fault the whole
+    /// file in. They stay one partition and rely on intra-partition leaf
+    /// splitting for parallelism.
+    fn load_views(&self, spec: &SourceSpec) -> EngineResult<Vec<TableView>> {
+        let source = self.sources.get(&spec.source)?;
+        let tables = source.load_with_cache(
+            self.id,
+            self.num_workers,
+            self.micropartition_rows,
+            spec.snapshot,
+            &self.block_cache,
+        )?;
+        let mut views = Vec::new();
+        for t in tables {
+            if t.num_rows() > self.micropartition_rows && t.mapped_bytes() == 0 {
+                for part in hillview_storage::partition_table(&t, self.micropartition_rows) {
+                    views.push(TableView::full(Arc::new(part)));
+                }
+            } else {
+                views.push(TableView::full(Arc::new(t)));
+            }
+        }
+        let rows: usize = views.iter().map(|v| v.len()).sum();
+        let bytes: usize = views.iter().map(|v| v.table().heap_bytes()).sum();
+        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex in `derive`)
+        self.rows_loaded.fetch_add(rows as u64, Ordering::Relaxed);
+        // lint: allow(relaxed, monotonic diagnostics counters; the dataset itself is published via the mutex in `derive`)
+        self.bytes_loaded.fetch_add(bytes as u64, Ordering::Relaxed);
+        Ok(views)
+    }
+
+    /// Apply `f` to every parent partition in parallel on the pool and
+    /// gather the results in partition order; the first error wins.
+    fn derive_partitions(
+        &self,
+        parents: &[TableView],
+        f: impl Fn(&TableView) -> EngineResult<TableView> + Send + Sync + 'static,
+    ) -> EngineResult<Vec<TableView>> {
+        let f = Arc::new(f);
+        let n = parents.len();
         let (tx, rx) = crossbeam::channel::bounded(n.max(1));
-        for (i, view) in parent_views.iter().enumerate() {
-            let view = view.clone();
-            let udfs = self.udfs.clone();
-            let udf = udf.to_string();
-            let new_column = new_column.to_string();
-            let tx = tx.clone();
+        for (i, view) in parents.iter().enumerate() {
+            let (view, f, tx) = (view.clone(), f.clone(), tx.clone());
             self.pool.submit(move || {
-                let result = (|| -> EngineResult<TableView> {
-                    let col = udfs
-                        .materialize(&udf, view.table())
-                        .map_err(EngineError::from)?;
-                    let table = view.table().with_column(&new_column, col)?;
-                    Ok(TableView::with_members(
-                        Arc::new(table),
-                        view.members().clone(),
-                    ))
-                })();
-                let _ = tx.send((i, result));
+                let _ = tx.send((i, f(&view)));
             });
         }
         drop(tx);
         let mut out: Vec<Option<TableView>> = vec![None; n];
         for _ in 0..n {
+            // A panicking task drops its sender unsent; once every other
+            // task has reported, the channel disconnects.
             let (i, r) = rx.recv().map_err(|_| EngineError::WorkerDown(self.id))?;
             out[i] = Some(r?);
         }
-        let views: Vec<TableView> = out
-            .into_iter()
+        out.into_iter()
             .enumerate()
             .map(|(i, v)| {
                 v.ok_or_else(|| {
-                    EngineError::Internal(format!("map produced no result for partition {i}"))
+                    EngineError::Internal(format!("derivation produced no partition {i}"))
                 })
             })
-            .collect::<EngineResult<_>>()?;
-        self.datasets.lock().insert(
-            id,
-            DatasetEntry {
-                views: Arc::new(views),
-                version: map_version(parent_version, udf, new_column),
-            },
-        );
-        Ok(())
+            .collect()
     }
 }
 
@@ -567,10 +545,29 @@ mod tests {
         }
     }
 
+    fn load(spec: SourceSpec) -> Lineage {
+        Lineage::Loaded { spec }
+    }
+
+    fn filter(parent: u64, predicate: Predicate) -> Lineage {
+        Lineage::Filtered {
+            parent: DatasetId(parent),
+            predicate,
+        }
+    }
+
+    fn map(parent: u64, udf: &str, new_column: &str) -> Lineage {
+        Lineage::Mapped {
+            parent: DatasetId(parent),
+            udf: Arc::from(udf),
+            new_column: Arc::from(new_column),
+        }
+    }
+
     #[test]
     fn load_splits_into_micropartitions() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         let parts = w.partitions(DatasetId(1)).unwrap();
         assert_eq!(parts.len(), 4, "100 rows at 30/partition");
         assert_eq!(w.dataset_rows(DatasetId(1)), 100);
@@ -603,12 +600,12 @@ mod tests {
             sources,
             UdfRegistry::with_builtins(),
         ));
-        w.load(
+        w.derive(
             DatasetId(1),
-            &SourceSpec {
+            &load(SourceSpec {
                 source: Arc::from("sorted"),
                 snapshot: 0,
-            },
+            }),
         )
         .unwrap();
         let plain_bytes = 40_000 * 8;
@@ -626,13 +623,9 @@ mod tests {
     #[test]
     fn filter_narrows_membership() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        w.filter(
-            DatasetId(2),
-            DatasetId(1),
-            &Predicate::range("X", 0.0, 50.0),
-        )
-        .unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
+        w.derive(DatasetId(2), &filter(1, Predicate::range("X", 0.0, 50.0)))
+            .unwrap();
         assert_eq!(w.dataset_rows(DatasetId(2)), 50);
         // Parent untouched.
         assert_eq!(w.dataset_rows(DatasetId(1)), 100);
@@ -645,8 +638,8 @@ mod tests {
     #[test]
     fn map_adds_derived_column() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        w.map(DatasetId(3), DatasetId(1), "X2", "Doubled").unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
+        w.derive(DatasetId(3), &map(1, "X2", "Doubled")).unwrap();
         let parts = w.partitions(DatasetId(3)).unwrap();
         let t = parts[0].table();
         assert_eq!(t.get(5, "Doubled").unwrap(), Value::Double(10.0));
@@ -656,7 +649,7 @@ mod tests {
     #[test]
     fn scripted_faults_evict_then_kill_surface_as_structured_errors() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         w.arm_faults(Arc::new(FaultPlan::scripted([
             (
                 FaultSite::WorkerOp {
@@ -675,39 +668,27 @@ mod tests {
         ])));
         // Op 0: the parent is evicted right before the filter reads it.
         let err = w
-            .filter(
-                DatasetId(2),
-                DatasetId(1),
-                &Predicate::range("X", 0.0, 50.0),
-            )
+            .derive(DatasetId(2), &filter(1, Predicate::range("X", 0.0, 50.0)))
             .unwrap_err();
         assert!(matches!(err, EngineError::DatasetMissing { .. }), "{err}");
         // Op 1: the worker is killed at the next boundary.
-        let err = w.load(DatasetId(1), &spec()).unwrap_err();
+        let err = w.derive(DatasetId(1), &load(spec())).unwrap_err();
         assert!(matches!(err, EngineError::WorkerDown(0)), "{err}");
         // Disarmed + restarted, the worker heals completely.
         w.disarm_faults();
         w.restart();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         assert_eq!(w.dataset_rows(DatasetId(1)), 100);
     }
 
     #[test]
     fn filter_of_filter_composes() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        w.filter(
-            DatasetId(2),
-            DatasetId(1),
-            &Predicate::range("X", 0.0, 50.0),
-        )
-        .unwrap();
-        w.filter(
-            DatasetId(3),
-            DatasetId(2),
-            &Predicate::range("X", 25.0, 100.0),
-        )
-        .unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
+        w.derive(DatasetId(2), &filter(1, Predicate::range("X", 0.0, 50.0)))
+            .unwrap();
+        w.derive(DatasetId(3), &filter(2, Predicate::range("X", 25.0, 100.0)))
+            .unwrap();
         assert_eq!(w.dataset_rows(DatasetId(3)), 25);
     }
 
@@ -715,7 +696,7 @@ mod tests {
     fn missing_parent_reports_dataset_missing() {
         let w = test_worker();
         let e = w
-            .filter(DatasetId(9), DatasetId(8), &Predicate::True)
+            .derive(DatasetId(9), &filter(8, Predicate::True))
             .unwrap_err();
         assert!(matches!(
             e,
@@ -729,12 +710,12 @@ mod tests {
     #[test]
     fn kill_drops_state_and_rejects_work() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         w.kill();
         assert!(!w.is_alive());
         assert!(!w.has_dataset(DatasetId(1)));
         assert!(matches!(
-            w.load(DatasetId(1), &spec()),
+            w.derive(DatasetId(1), &load(spec())),
             Err(EngineError::WorkerDown(0))
         ));
         w.restart();
@@ -743,14 +724,14 @@ mod tests {
             !w.has_dataset(DatasetId(1)),
             "restart does not restore data"
         );
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         assert_eq!(w.dataset_rows(DatasetId(1)), 100);
     }
 
     #[test]
     fn eviction_is_soft() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         w.evict(DatasetId(1));
         assert!(!w.has_dataset(DatasetId(1)));
         assert!(w.is_alive(), "eviction is not a crash");
@@ -785,19 +766,19 @@ mod tests {
     #[test]
     fn dataset_versions_chain_through_lineage() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         let base = w.dataset_version(DatasetId(1)).unwrap();
         // Reload after eviction: same spec, same version.
         w.evict(DatasetId(1));
-        w.load(DatasetId(1), &spec()).unwrap();
+        w.derive(DatasetId(1), &load(spec())).unwrap();
         assert_eq!(w.dataset_version(DatasetId(1)).unwrap(), base);
         // A different snapshot is different content.
-        w.load(
+        w.derive(
             DatasetId(5),
-            &SourceSpec {
+            &load(SourceSpec {
                 source: Arc::from("nums"),
                 snapshot: 1,
-            },
+            }),
         )
         .unwrap();
         assert_ne!(w.dataset_version(DatasetId(5)).unwrap(), base);
@@ -810,13 +791,13 @@ mod tests {
         assert_eq!(va, w.filtered_version(DatasetId(1), &b).unwrap());
         assert_ne!(va, w.filtered_version(DatasetId(1), &c).unwrap());
         // Materializing the filter assigns exactly the predicted version.
-        w.filter(DatasetId(2), DatasetId(1), &a).unwrap();
+        w.derive(DatasetId(2), &filter(1, a)).unwrap();
         assert_eq!(w.dataset_version(DatasetId(2)).unwrap(), va);
         // Mapped datasets fold the UDF identity in.
-        w.map(DatasetId(3), DatasetId(1), "X2", "Doubled").unwrap();
+        w.derive(DatasetId(3), &map(1, "X2", "Doubled")).unwrap();
         let vm = w.dataset_version(DatasetId(3)).unwrap();
         assert_ne!(vm, base);
-        w.map(DatasetId(4), DatasetId(1), "X2", "Tripled").unwrap();
+        w.derive(DatasetId(4), &map(1, "X2", "Tripled")).unwrap();
         assert_ne!(w.dataset_version(DatasetId(4)).unwrap(), vm);
     }
 
@@ -828,7 +809,7 @@ mod tests {
             snapshot: 0,
         };
         assert!(matches!(
-            w.load(DatasetId(1), &bad),
+            w.derive(DatasetId(1), &load(bad)),
             Err(EngineError::Unregistered(_))
         ));
     }
@@ -836,7 +817,7 @@ mod tests {
     #[test]
     fn unknown_udf_errors() {
         let w = test_worker();
-        w.load(DatasetId(1), &spec()).unwrap();
-        assert!(w.map(DatasetId(2), DatasetId(1), "nope", "Y").is_err());
+        w.derive(DatasetId(1), &load(spec())).unwrap();
+        assert!(w.derive(DatasetId(2), &map(1, "nope", "Y")).is_err());
     }
 }

@@ -17,7 +17,7 @@ use hillview_columnar::{simd, ColumnKind, I64Storage, NullMask, Predicate, Table
 use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::erased::{erase, ErasedSketch};
-use hillview_core::{Cluster, DatasetId, FnSource, QueryOptions, SourceSpec};
+use hillview_core::{Cluster, DatasetId, FnSource, Lineage, QueryOptions, SourceSpec};
 use hillview_sketch::histogram::HistogramSketch;
 use hillview_sketch::moments::MomentsSketch;
 use hillview_sketch::BucketSpec;
@@ -81,11 +81,13 @@ fn cluster_with(enc: usize, values: Arc<Vec<i64>>, null_p: u32) -> Arc<Cluster> 
 
 fn load(c: &Arc<Cluster>) -> DatasetId {
     let ds = DatasetId(1);
-    c.load(
+    c.derive(
         ds,
-        &SourceSpec {
-            source: Arc::from("props"),
-            snapshot: 0,
+        &Lineage::Loaded {
+            spec: SourceSpec {
+                source: Arc::from("props"),
+                snapshot: 0,
+            },
         },
     )
     .unwrap();
@@ -172,7 +174,14 @@ proptest! {
 
         // Materialized membership for the two-pass representation.
         let narrowed = DatasetId(2);
-        c.filter(narrowed, ds, &pred).unwrap();
+        c.derive(
+            narrowed,
+            &Lineage::Filtered {
+                parent: ds,
+                predicate: pred.clone(),
+            },
+        )
+        .unwrap();
 
         for sk in &sketches {
             assert_hit_equals_miss(

@@ -28,7 +28,8 @@ use hillview_core::cluster::ClusterConfig;
 use hillview_core::dataset::SourceRegistry;
 use hillview_core::erased::erase;
 use hillview_core::{
-    Cluster, Engine, EngineError, FaultPlan, FaultSpec, FnSource, QueryOptions, RetryPolicy,
+    Cluster, DatasetId, Engine, EngineError, FaultPlan, FaultSpec, FnSource, QueryOptions,
+    RetryPolicy,
 };
 use hillview_sketch::count::CountSketch;
 use hillview_sketch::heavy::MisraGriesSketch;
@@ -65,7 +66,9 @@ fn chaos_engine_with_cache_budget(cache_budget_bytes: usize) -> Engine {
     })));
     let mut cfg = ClusterConfig::test();
     cfg.cache_budget_bytes = cache_budget_bytes;
-    let cluster = Cluster::new(cfg, sources, UdfRegistry::with_builtins());
+    let mut udfs = UdfRegistry::with_builtins();
+    udfs.register_sum("XX", "X", "X");
+    let cluster = Cluster::new(cfg, sources, udfs);
     let mut engine = Engine::new(cluster);
     engine.retry = RetryPolicy {
         attempts: 4,
@@ -340,6 +343,107 @@ fn seeded_chaos_fused_queries_preserve_failure_semantics() {
     assert!(
         fired > 0,
         "the seeded adversary never injected a fault into a fused query run"
+    );
+}
+
+/// Derivations run in the same retry loop as queries. Under an armed plan
+/// `filter`, `map` and `reload` each end with exactly the expected rows
+/// materialized on every worker, or with a structured `RetriesExhausted`
+/// — never a panic, a hang or another error. Disarmed, the engine then
+/// serves every dataset at its expected count, replaying whatever the
+/// faults destroyed.
+#[test]
+fn seeded_chaos_derivations_end_complete_or_exhausted() {
+    use hillview_columnar::Predicate;
+    const OP_BOUND: Duration = Duration::from_secs(30);
+    let (mut complete, mut exhausted, mut fired) = (0u32, 0u32, 0u32);
+    for plan_seed in seed_range() {
+        let reloaded_snapshot = plan_seed ^ 1;
+        let pred = || Predicate::range("X", 20.0, 70.0);
+        let count = |engine: &Engine, ds: DatasetId| {
+            engine
+                .run(ds, CountSketch::rows(), &QueryOptions::default())
+                .unwrap_or_else(|e| panic!("seed {plan_seed:#x}: count of {ds} failed: {e}"))
+                .0
+                .rows as usize
+        };
+        // Expected counts from a fault-free engine.
+        let band = |snapshot: u64| {
+            let reference = chaos_engine();
+            let data = reference.load("chaos", snapshot).unwrap();
+            let filtered = reference.filter(data, pred()).unwrap();
+            count(&reference, filtered)
+        };
+        let (band_before, band_after) = (band(plan_seed), band(reloaded_snapshot));
+        let all_rows = 2 * ROWS_PER_WORKER as usize;
+
+        let engine = chaos_engine();
+        let data = engine.load("chaos", plan_seed).unwrap();
+        engine
+            .cluster()
+            .arm_faults(FaultPlan::seeded(plan_seed, FaultSpec::chaos()));
+        // Runs one derivation and checks its outcome; `Some` on success.
+        let mut derive =
+            |op: &str, expected: usize, run: &dyn Fn() -> Result<DatasetId, EngineError>| {
+                let started = Instant::now();
+                let result = run();
+                let elapsed = started.elapsed();
+                assert!(
+                    elapsed < OP_BOUND,
+                    "seed {plan_seed:#x} {op}: took {elapsed:?} — not bounded"
+                );
+                match result {
+                    Ok(id) => {
+                        complete += 1;
+                        assert_eq!(
+                            engine.cluster().dataset_rows(id),
+                            expected,
+                            "seed {plan_seed:#x} {op}: succeeded with the wrong rows"
+                        );
+                        Some(id)
+                    }
+                    Err(EngineError::RetriesExhausted { .. }) => {
+                        exhausted += 1;
+                        None
+                    }
+                    Err(e) => panic!("seed {plan_seed:#x} {op}: unstructured failure {e}"),
+                }
+            };
+        let filtered = derive("filter", band_before, &|| engine.filter(data, pred()));
+        let mapped =
+            filtered.and_then(|f| derive("map", band_before, &|| engine.map(f, "XX", "Doubled")));
+        derive("reload", all_rows, &|| {
+            engine.reload(data, reloaded_snapshot).map(|()| data)
+        });
+        fired += engine
+            .cluster()
+            .fault_plan()
+            .map_or(0, |p| u32::from(p.faults_fired() > 0));
+
+        // Heal: the reload rewrote the redo log whether or not it
+        // finished, and evicted the derived datasets, so replay rebuilds
+        // everything against the new snapshot.
+        engine.cluster().disarm_faults();
+        assert_eq!(
+            count(&engine, data),
+            all_rows,
+            "seed {plan_seed:#x}: healed base"
+        );
+        for ds in filtered.into_iter().chain(mapped) {
+            assert_eq!(
+                count(&engine, ds),
+                band_after,
+                "seed {plan_seed:#x}: healed derived dataset {ds}"
+            );
+        }
+    }
+    eprintln!(
+        "derivation chaos: {complete} complete, {exhausted} exhausted; \
+         faults fired in {fired} seed(s)"
+    );
+    assert!(
+        fired > 0,
+        "the seeded adversary never injected a fault into a derivation"
     );
 }
 

@@ -6,20 +6,13 @@
 //! So hashing is explicit FNV-1a over a canonical byte encoding rather than
 //! the (potentially process-seeded) standard hasher.
 
-use hillview_columnar::Value;
+use hillview_columnar::{Value, FNV_OFFSET};
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over raw bytes.
+/// FNV-1a over raw bytes, from the offset basis: the workspace's one
+/// FNV-1a ([`hillview_columnar::fnv1a`]).
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    hillview_columnar::fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Finalizing mix (splitmix64) to spread FNV's weak high bits.
@@ -64,6 +57,25 @@ mod tests {
         assert_eq!(fnv1a(b""), FNV_OFFSET);
         assert_eq!(fnv1a(b"hillview"), fnv1a(b"hillview"));
         assert_eq!(hash_str("SFO", 0), hash_str("SFO", 0));
+    }
+
+    #[test]
+    fn hashes_match_known_answers() {
+        // Known answers: FNV-1a 64 of "a" and "foobar" are the published
+        // test vectors; the rest pin the exact outputs bottom-k and HLL
+        // merge by, across processes and releases.
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(hash_str("SFO", 0), 0xec2b_dcb7_11fb_3d2c);
+        assert_eq!(hash_str("SFO", 7), 0x9969_d716_1ec7_25c2);
+        assert_eq!(hash_value(&Value::Missing, 0), 0x01df_27c8_adb0_f2d1);
+        assert_eq!(hash_value(&Value::Int(-3), 0), 0x0089_ac94_9db6_c5b8);
+        assert_eq!(hash_value(&Value::Double(2.5), 0), 0x7474_f601_1b39_8ac4);
+        assert_eq!(hash_value(&Value::Date(19_000), 0), 0x4c4e_3a26_4a29_549c);
+        assert_eq!(
+            hash_value(&Value::Str("SFO".into()), 9),
+            0xba9f_ddf9_4897_b288
+        );
     }
 
     #[test]
